@@ -85,6 +85,48 @@ void BM_AnonFaultPath(benchmark::State& state) {
 }
 BENCHMARK(BM_AnonFaultPath);
 
+// One never-allocated 128 MiB block through the whole hotplug pipeline:
+// hot-add + online, then offline + hot-remove.
+void BM_PlugUnplugUntouchedBlock(benchmark::State& state) {
+  HostMemory host(GiB(64));
+  CostModel cost = CostModel::Default();
+  Hypervisor hv(&host, &cost);
+  GuestConfig cfg;
+  cfg.base_memory = MiB(512);
+  cfg.hotplug_region = GiB(1);
+  GuestKernel guest(cfg, &hv);
+  for (auto _ : state) {
+    guest.PlugMemory(kMemoryBlockBytes, 0);
+    const UnplugOutcome out = guest.UnplugMemory(kMemoryBlockBytes, 0);
+    benchmark::DoNotOptimize(out.bytes_unplugged);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlugUnplugUntouchedBlock);
+
+// The same cycle with 64 MiB of file pages read into the block (page by
+// page, each host-backed) and dropped again before the unplug.
+void BM_PlugTouchUnplugBlock(benchmark::State& state) {
+  HostMemory host(GiB(64));
+  CostModel cost = CostModel::Default();
+  Hypervisor hv(&host, &cost);
+  GuestConfig cfg;
+  cfg.base_memory = MiB(512);
+  cfg.hotplug_region = GiB(1);
+  GuestKernel guest(cfg, &hv);
+  const int32_t file = guest.CreateFile("dep", MiB(64));
+  const Pid pid = guest.CreateProcess();
+  for (auto _ : state) {
+    guest.PlugMemory(kMemoryBlockBytes, 0);
+    guest.TouchFile(pid, file, MiB(64), 0);
+    guest.DropFileCache(file, 0);
+    const UnplugOutcome out = guest.UnplugMemory(kMemoryBlockBytes, 0);
+    benchmark::DoNotOptimize(out.bytes_unplugged);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlugTouchUnplugBlock);
+
 void BM_IsolateUndo(benchmark::State& state) {
   MemMap memmap(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &memmap);

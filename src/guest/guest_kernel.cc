@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace squeezy {
 
@@ -49,14 +50,16 @@ GuestKernel::GuestKernel(const GuestConfig& config, Hypervisor* hv, CpuAccountan
   // The kernel's own footprint: pinned, unmovable, host-backed at boot.
   const uint64_t kernel_bytes = std::min<uint64_t>(MiB(96), config_.base_memory / 4);
   uint64_t kernel_pages = BytesToPages(kernel_bytes);
+  HostBackingBatch backing;
   while (kernel_pages > 0) {
     const uint8_t order = static_cast<uint8_t>(
         std::min<uint64_t>(kMaxPageOrder, 63 - __builtin_clzll(kernel_pages)));
     const Pfn pfn = normal_zone_->Alloc(order, PageKind::kKernel, kNoOwner, 0);
     assert(pfn != kInvalidPfn);
-    PopulateHostBacking(pfn, 1u << order, config_.boot_time);
+    MarkHostBacking(pfn, 1u << order, config_.boot_time, &backing);
     kernel_pages -= 1u << order;
   }
+  BookHostBacking(&backing, config_.boot_time);
 }
 
 GuestKernel::~GuestKernel() = default;
@@ -124,20 +127,21 @@ void GuestKernel::OomKill(Pid pid) {
 
 // --- Fault paths -----------------------------------------------------------------
 
-DurationNs GuestKernel::PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now) {
+void GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, TimeNs now,
+                                  HostBackingBatch* batch) {
   const uint32_t granule_pages = static_cast<uint32_t>(cost().host_thp_bytes / kPageSize);
+  assert(granule_pages >= 1 && kPagesPerBlock % granule_pages == 0);
   const Pfn first_granule = head / granule_pages;
   const Pfn last_granule = (head + pages - 1) / granule_pages;
   uint64_t extents = 0;
   uint64_t new_pages = 0;
   for (Pfn g = first_granule; g <= last_granule; ++g) {
-    const Pfn start = g * granule_pages;
+    Page* granule = &memmap_->page(g * granule_pages);  // Granules never span blocks.
     bool any_new = false;
-    for (Pfn pfn = start; pfn < start + granule_pages; ++pfn) {
-      Page& p = memmap_->page(pfn);
-      if (!p.host_populated) {
+    for (Page* p = granule; p < granule + granule_pages; ++p) {
+      if (!p->host_populated) {
         // Host THP backs the whole aligned granule on first touch.
-        p.host_populated = true;
+        p->host_populated = true;
         any_new = true;
         ++new_pages;
       }
@@ -147,9 +151,30 @@ DurationNs GuestKernel::PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now
     }
   }
   if (extents == 0) {
-    return 0;
+    return;
   }
-  return hv_->NestedFaultPopulate(vm_, extents, PagesToBytes(new_pages), now);
+  if (batch->extents != extents) {
+    BookHostBacking(batch, now);
+  }
+  batch->extents = extents;
+  ++batch->faults;
+  batch->pages += new_pages;
+}
+
+void GuestKernel::BookHostBacking(HostBackingBatch* batch, TimeNs now) {
+  if (batch->faults > 0) {
+    batch->booked += hv_->NestedFaultPopulate(vm_, batch->extents, PagesToBytes(batch->pages),
+                                              now, batch->faults);
+    batch->faults = 0;
+    batch->pages = 0;
+  }
+}
+
+void GuestKernel::FlushHostBacking(HostBackingBatch* batch, TimeNs now, TouchResult* result) {
+  BookHostBacking(batch, now);
+  result->nested += batch->booked;
+  result->latency += batch->booked;
+  batch->booked = 0;
 }
 
 Zone* GuestKernel::AnonZoneFor(const Process& proc) {
@@ -165,6 +190,7 @@ TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
   // allocations may spill into ZONE_NORMAL like Linux's zonelist fallback.
   Zone* fallback = (proc.anon_zone() == nullptr) ? normal_zone_ : nullptr;
 
+  HostBackingBatch backing;
   uint64_t remaining = BytesToPages(bytes);
   while (remaining > 0) {
     uint8_t order = static_cast<uint8_t>(
@@ -191,7 +217,9 @@ TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
     }
     if (head == kInvalidPfn) {
       // Out of memory: the partition cap (or the VM) was exhausted.  The
-      // OOM killer reaps the process (paper §4.1).
+      // OOM killer reaps the process (paper §4.1).  The faults taken so
+      // far are booked first: the kill may unplug memory at `now`.
+      FlushHostBacking(&backing, now, &result);
       OomKill(pid);
       result.oom = true;
       return result;
@@ -199,12 +227,11 @@ TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
     (void)zone;
     const uint32_t folio_pages = 1u << order;
     result.latency += cost().fault_folio_fixed + cost().fault_page * folio_pages;
-    const DurationNs nested = PopulateHostBacking(head, folio_pages, now);
-    result.nested += nested;
-    result.latency += nested;
+    MarkHostBacking(head, folio_pages, now, &backing);
     result.bytes += PagesToBytes(folio_pages);
     remaining -= folio_pages;
   }
+  FlushHostBacking(&backing, now, &result);
   return result;
 }
 
@@ -228,6 +255,7 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   const DurationNs miss_read =
       backing_x1000 < 0 ? cost().IoBytes(kPageSize)
                         : backing_x1000 * static_cast<DurationNs>(kPageSize) / 1000;
+  HostBackingBatch backing;
   for (uint64_t idx = 0; idx < pages; ++idx) {
     if (page_cache_.Cached(file_id, idx)) {
       result.latency += cost().fault_page;
@@ -240,6 +268,7 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
       pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
     }
     if (pfn == kInvalidPfn) {
+      FlushHostBacking(&backing, now, &result);
       OomKill(pid);
       result.oom = true;
       return result;
@@ -251,10 +280,9 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
     } else {
       page_cache_.CountRemoteRead(file_id, kPageSize);
     }
-    const DurationNs nested = PopulateHostBacking(pfn, 1, now);
-    result.nested += nested;
-    result.latency += nested;
+    MarkHostBacking(pfn, 1, now, &backing);
   }
+  FlushHostBacking(&backing, now, &result);
   result.bytes = PagesToBytes(pages);
   return result;
 }
@@ -346,6 +374,7 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
 TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool populate_host) {
   TouchResult result;
   const uint64_t pages = page_cache_.FilePages(file_id);
+  HostBackingBatch backing;
   for (uint64_t idx = 0; idx < pages; ++idx) {
     if (page_cache_.Cached(file_id, idx)) {
       continue;
@@ -360,12 +389,11 @@ TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool popula
     // another VM; migration-landed bytes need frames of their own.
     result.latency += cost().fault_folio_fixed + cost().fault_page;
     if (populate_host) {
-      const DurationNs nested = PopulateHostBacking(pfn, 1, now);
-      result.nested += nested;
-      result.latency += nested;
+      MarkHostBacking(pfn, 1, now, &backing);
     }
     result.bytes += kPageSize;
   }
+  FlushHostBacking(&backing, now, &result);
   page_cache_.CountAdopted(file_id, result.bytes);
   return result;
 }
@@ -426,9 +454,11 @@ BalloonOutcome GuestKernel::BalloonReclaim(uint64_t bytes, TimeNs now) {
 void GuestKernel::WarmAllHostBacking(TimeNs now) {
   uint64_t new_pages = 0;
   for (BlockIndex b = 0; b < memmap_->block_count(); ++b) {
-    if (!memmap_->BlockMaterialized(b)) {
-      continue;  // Nothing but default holes: no backing to warm.
+    if (memmap_->summary(b) == BlockSummary::kHole) {
+      continue;  // Nothing but holes: no backing to warm.
     }
+    // Any other summarized block is present and wholly unbacked: warming
+    // writes a flag to every frame, so it materializes.
     const Pfn start = MemMap::BlockStart(b);
     for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
       Page& p = memmap_->page(pfn);
@@ -539,9 +569,11 @@ Zone* GuestKernel::BlockZone(BlockIndex b) {
   if (override_hooks_ != nullptr) {
     return override_hooks_->BlockZone(b);
   }
-  const Page& first = memmap_->page(MemMap::BlockStart(b));
-  assert(first.zone_id >= 0);
-  return zones_[static_cast<size_t>(first.zone_id)].get();
+  // A const read: a summarized kFree block reports its zone without
+  // materializing.
+  const int16_t zone_id = std::as_const(*memmap_).page(MemMap::BlockStart(b)).zone_id;
+  assert(zone_id >= 0);
+  return zones_[static_cast<size_t>(zone_id)].get();
 }
 
 Zone* GuestKernel::MigrationTarget(BlockIndex b) {

@@ -199,9 +199,24 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   void OnBlockUnplugged(BlockIndex b) override;
 
  private:
-  // Backs [head, head+pages) with host memory where missing; returns the
-  // nested-fault latency (one exit per host-THP granule).
-  DurationNs PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now);
+  // The nested faults of one call into the fault path.  They all happen at
+  // the same `now`, so they are booked with the hypervisor once per run
+  // of equal-sized faults instead of one by one: the host's books and the
+  // vmm thread's busy windows come out exactly as per-fault booking.
+  struct HostBackingBatch {
+    uint64_t extents = 0;    // Exits per fault of the pending run.
+    uint64_t faults = 0;     // Faults in the pending run.
+    uint64_t pages = 0;      // Pages the pending run backs.
+    DurationNs booked = 0;   // Latency of the runs already booked.
+  };
+  // Backs [head, head+pages) with host memory where missing (one exit per
+  // host-THP granule) and adds the fault, if any, to `batch`.
+  void MarkHostBacking(Pfn head, uint32_t pages, TimeNs now, HostBackingBatch* batch);
+  // Books the batch's pending run with the hypervisor.
+  void BookHostBacking(HostBackingBatch* batch, TimeNs now);
+  // Books what is pending and charges the batch's whole nested latency to
+  // a touch's nested and total latency.
+  void FlushHostBacking(HostBackingBatch* batch, TimeNs now, TouchResult* result);
   void OomKill(Pid pid);
 
   GuestConfig config_;

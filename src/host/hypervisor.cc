@@ -12,28 +12,31 @@ Hypervisor::Hypervisor(HostMemory* host, const CostModel* cost, CpuAccountant* c
 VmId Hypervisor::RegisterVm(const std::string& name, uint32_t vcpus) {
   VmStats s;
   s.name = name;
+  s.host_thread = "vmm/" + name;
   s.vcpus = vcpus;
   vms_.push_back(std::move(s));
   return static_cast<VmId>(vms_.size()) - 1;
 }
 
-void Hypervisor::ChargeHostThread(VmId vm, TimeNs now, DurationNs busy) {
+void Hypervisor::ChargeHostThread(VmId vm, TimeNs now, DurationNs busy, int64_t repeat) {
   if (cpu_ != nullptr) {
-    cpu_->AddBusy("vmm/" + vms_[static_cast<size_t>(vm)].name, now, busy);
+    cpu_->AddBusy(vms_[static_cast<size_t>(vm)].host_thread, now, busy, repeat);
   }
 }
 
 DurationNs Hypervisor::NestedFaultPopulate(VmId vm, uint64_t extents, uint64_t bytes,
-                                           TimeNs now) {
+                                           TimeNs now, uint64_t faults) {
+  assert(faults >= 1);
   VmStats& s = vms_[static_cast<size_t>(vm)];
   const DurationNs latency = cost_->nested_fault_exit * static_cast<int64_t>(extents);
-  s.nested_faults += extents;
-  s.exits += extents;
-  s.exit_time += latency;
+  const DurationNs total = latency * static_cast<int64_t>(faults);
+  s.nested_faults += extents * faults;
+  s.exits += extents * faults;
+  s.exit_time += total;
   s.populated_bytes += bytes;
   host_->Populate(bytes, now);
-  ChargeHostThread(vm, now, latency);
-  return latency;
+  ChargeHostThread(vm, now, latency, static_cast<int64_t>(faults));
+  return total;
 }
 
 DurationNs Hypervisor::AckUnplugBlock(VmId vm, uint64_t populated_bytes, TimeNs now) {

@@ -22,6 +22,7 @@ using VmId = int32_t;
 
 struct VmStats {
   std::string name;
+  std::string host_thread;  // "vmm/<name>": the CpuAccountant thread.
   uint32_t vcpus = 0;
   uint64_t nested_faults = 0;
   uint64_t exits = 0;
@@ -40,8 +41,11 @@ class Hypervisor {
   // First guest touch of host-unpopulated memory: `extents` exits back
   // `bytes` of guest memory (the guest fault path coalesces touches into
   // host-THP granules).  Returns the fault-side latency charged to the
-  // guest vCPU.
-  DurationNs NestedFaultPopulate(VmId vm, uint64_t extents, uint64_t bytes, TimeNs now);
+  // guest vCPU.  `faults` > 1 books that many same-instant faults of
+  // `extents` exits each, exactly as that many calls would (`bytes` is
+  // their total; the return value the summed latency).
+  DurationNs NestedFaultPopulate(VmId vm, uint64_t extents, uint64_t bytes, TimeNs now,
+                                 uint64_t faults = 1);
 
   // Host acknowledgement of one unplugged 128 MiB block: VM exit +
   // madvise(MADV_DONTNEED) of the populated span.
@@ -63,7 +67,7 @@ class Hypervisor {
   const CostModel& cost() const { return *cost_; }
 
  private:
-  void ChargeHostThread(VmId vm, TimeNs now, DurationNs busy);
+  void ChargeHostThread(VmId vm, TimeNs now, DurationNs busy, int64_t repeat = 1);
 
   HostMemory* host_;
   const CostModel* cost_;

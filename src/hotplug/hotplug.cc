@@ -86,15 +86,7 @@ DurationNs HotplugManager::HotRemoveBlock(BlockIndex b, UnplugBreakdown* breakdo
   assert(memmap_->block_state(b) == BlockState::kOffline);
 
   // Count and clear host backing: the hypervisor madvises it away.
-  const Pfn start = MemMap::BlockStart(b);
-  uint64_t populated = 0;
-  for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
-    Page& p = memmap_->page(pfn);
-    if (p.host_populated) {
-      ++populated;
-      p.host_populated = false;
-    }
-  }
+  const uint64_t populated = memmap_->ClearHostPopulated(b);
   memmap_->TeardownBlock(b);
   ++blocks_removed_;
 

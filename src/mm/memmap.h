@@ -2,26 +2,42 @@
 // guest physical span plus the hotplug memory-block state machine (Linux
 // adds and removes memory in 128 MiB blocks on x86).
 //
-// Extent representation: the per-page array is materialized LAZILY, one
-// 128 MiB-block chunk at a time, only where pages are actually touched.
-// A serverless guest's span is dominated by the hotplug region sized for
-// peak concurrency — mostly permanent holes at paper footprints — and the
-// flat array made that slack the dominant per-host sim RSS (~205 MiB/host
-// at paper sizes, the reason the fig12 shard sweep had to shrink
-// functions).  Unmaterialized chunks read as default pages (kHole,
-// nothing populated) through the const accessor; the first write
-// materializes the chunk (value-initialized, so reads-before-writes see
-// exactly the flat array's initial state).  Hot-remove frees a chunk
-// again once no host-populated flag survives the teardown, so a VM that
-// plugged high and unplugged returns the sim memory too.  Every state
-// transition is bit-identical to the flat representation — only RSS
-// changes.
+// Block summaries.  The mechanisms the simulator models act on whole
+// 128 MiB blocks, and most blocks are uniform for their whole life: a
+// hole, a hot-added block that is never onlined, or an onlined block from
+// which nothing was ever allocated.  Such a block is stored as ONE
+// per-block summary with no Page[] chunk behind it:
+//   kHole      every frame is Page{} (no memory behind the block);
+//   kOffline   every frame offline in no zone (hot-added, or retired);
+//   kFree      online in zone `summary_zone`, entirely free as its 32
+//              max-order buddy chunks (the frames read as free chunk
+//              heads/tails of order kMaxPageOrder);
+//   kIsolated  going offline: every frame isolated, still in the zone.
+// No frame of a summarized block is host-populated.  The block lifecycle
+// moves a summarized block between these states in O(1) (InitBlock,
+// TeardownBlock, ClearHostPopulated here; RetireRange in the zone) or
+// O(32) (whole-block AddFreeRange / IsolateFreeRange, which touch only
+// the free lists) without creating a single Page.
 //
-// Reference stability: `page()` references are invalidated by
-// TeardownBlock of that page's block (chunk free), unlike the flat array
-// where they stayed valid-but-kHole.  All existing call sites hold Page&
-// only within one operation on an online/offline block, never across a
-// teardown.
+// Materialize on split.  Any mutable page() access materializes a
+// summarized block: one pass stamps its chunk from the summary, after
+// which the block is per-page until TeardownBlock frees the chunk again.
+// In practice the first materializing write is the first Alloc that pops
+// one of a kFree block's chunks (it splits or stamps it).  Reads that must
+// not materialize go through the const accessor, which synthesizes the
+// frame from the summary.  Every state transition and every frame read is
+// bit-identical to a flat per-page array (tests/flat_mm_oracle.h), apart
+// from where max-order links live — only RSS and time change.
+//
+// Max-order link table.  The free-list links of max-order chunk heads live
+// in a side table indexed by pfn >> kMaxPageOrder (8 B per 4 MiB), not in
+// Page, so a kFree block's chunks sit on a zone free list in exactly the
+// order a per-page map would give them.  Sub-max-order links stay in Page.
+//
+// Reference stability: `page()` references are invalidated by InitBlock
+// and TeardownBlock of that page's block (both free the chunk); a
+// materialization never moves another block's chunk.  Call sites hold a
+// Page& only within one operation on an online/offline block.
 #ifndef SQUEEZY_MM_MEMMAP_H_
 #define SQUEEZY_MM_MEMMAP_H_
 
@@ -44,10 +60,19 @@ enum class BlockState : uint8_t {
   kOffline,       // Pages retracted from the allocator, still present.
 };
 
+// What an unmaterialized block's frames all look like (see above).
+enum class BlockSummary : uint8_t {
+  kMaterialized,  // Per-page chunk exists; no summary.
+  kHole,
+  kOffline,
+  kFree,
+  kIsolated,
+};
+
 class MemMap {
  public:
   // Creates the map for a guest span of `span_bytes` (rounded up to whole
-  // 128 MiB blocks).  All blocks start kAbsent with no chunk materialized.
+  // 128 MiB blocks).  All blocks start kAbsent, summarized as holes.
   explicit MemMap(uint64_t span_bytes);
 
   MemMap(const MemMap&) = delete;
@@ -56,9 +81,7 @@ class MemMap {
   uint64_t span_pages() const { return span_pages_; }
   uint32_t block_count() const { return static_cast<uint32_t>(blocks_.size()); }
 
-  // Mutable access materializes the page's chunk on first touch (fresh
-  // pages are value-initialized: kHole, nothing populated — the flat
-  // array's initial state).
+  // Mutable access materializes a summarized block first.
   Page& page(Pfn pfn) {
     const BlockIndex b = BlockOf(pfn);
     Page* chunk = chunks_[b].get();
@@ -67,17 +90,19 @@ class MemMap {
     }
     return chunk[pfn - BlockStart(b)];
   }
-  // Const access never materializes: an absent chunk reads as the
-  // default (hole) page.
-  const Page& page(Pfn pfn) const {
-    const Page* chunk = chunks_[BlockOf(pfn)].get();
-    return chunk != nullptr ? chunk[pfn - BlockStart(BlockOf(pfn))] : HolePage();
+  // Const access never materializes: a summarized block's frame is
+  // synthesized from its summary.
+  Page page(Pfn pfn) const {
+    const BlockIndex b = BlockOf(pfn);
+    const Page* chunk = chunks_[b].get();
+    return chunk == nullptr ? SummaryPage(b, pfn) : chunk[pfn - BlockStart(b)];
   }
 
   // Whether block b's per-page chunk is currently backed by sim memory.
-  // Full-span walkers skip unmaterialized blocks — every page there is a
-  // default hole.
   bool BlockMaterialized(BlockIndex b) const { return chunks_[b] != nullptr; }
+  BlockSummary summary(BlockIndex b) const { return summaries_[b].kind; }
+  // The zone of a kFree / kIsolated summary (-1 otherwise).
+  int16_t summary_zone(BlockIndex b) const { return summaries_[b].zone; }
 
   BlockState block_state(BlockIndex b) const { return blocks_[b]; }
   void set_block_state(BlockIndex b, BlockState s) { blocks_[b] = s; }
@@ -85,16 +110,22 @@ class MemMap {
   static BlockIndex BlockOf(Pfn pfn) { return pfn / kPagesPerBlock; }
   static Pfn BlockStart(BlockIndex b) { return b * kPagesPerBlock; }
 
-  // Hot-add: initialize the block's memmap entries (kHole -> kOffline).
+  // Hot-add: every frame of the block becomes offline (-> kPresent).  The
+  // block ends up summarized; host-populated flags a previous teardown
+  // kept are dropped, as the per-page re-initialization always did.
   void InitBlock(BlockIndex b);
   // Hot-remove: tear down memmap entries (-> kHole).  Requires every page
   // to be kOffline.  Frees the chunk when no host_populated flag survives
   // (the hypervisor's HotRemoveBlock clears them before tearing down, so
   // real unplugs return the chunk's sim memory).
   void TeardownBlock(BlockIndex b);
+  // Clears every host_populated flag in the block and returns how many
+  // were set (O(1) on a summarized block: none are).
+  uint64_t ClearHostPopulated(BlockIndex b);
 
-  // Number of pages in the block with the given state (O(block) scan; the
-  // tests use it to cross-check the incremental counter below).
+  // Number of pages in the block with the given state (O(1) on a
+  // summarized block, an O(block) scan otherwise; the tests use it to
+  // cross-check the incremental counter below).
   uint64_t CountBlockPages(BlockIndex b, PageState state) const;
 
   // Incrementally maintained count of allocated pages per block, updated
@@ -104,6 +135,10 @@ class MemMap {
     const BlockIndex b = BlockOf(head);
     allocated_per_block_[b] = static_cast<uint32_t>(allocated_per_block_[b] + delta_pages);
   }
+
+  // Free-list links of the max-order chunk headed by `head`.
+  FreeLink& max_link(Pfn head) { return max_links_[head >> kMaxPageOrder]; }
+  const FreeLink& max_link(Pfn head) const { return max_links_[head >> kMaxPageOrder]; }
 
   // Resolve a folio's head pfn from any of its frames.
   Pfn FolioHead(Pfn pfn) const;
@@ -119,17 +154,38 @@ class MemMap {
   uint64_t materialized_peak_bytes() const { return materialized_peak_ * ChunkBytes(); }
 
  private:
-  // The shared read-only target const page() resolves absent chunks to.
-  static const Page& HolePage();
+  // The zone's whole-block transitions move summaries (SetSummary) in step
+  // with its free lists.
+  friend class Zone;
 
+  // A chunk's storage is filled in place by Materialize (one pass, no
+  // value-initialization first); Page is trivially destructible.
+  struct ChunkDeleter {
+    void operator()(Page* chunk) const { std::allocator<Page>().deallocate(chunk, kPagesPerBlock); }
+  };
+  using Chunk = std::unique_ptr<Page[], ChunkDeleter>;
+
+  struct Summary {
+    BlockSummary kind = BlockSummary::kHole;
+    int16_t zone = -1;
+  };
+
+  // Moves an unmaterialized block to another summary.
+  void SetSummary(BlockIndex b, BlockSummary kind, int16_t zone = -1);
+  // Frame `pfn` of summarized block b.
+  Page SummaryPage(BlockIndex b, Pfn pfn) const;
   Page* Materialize(BlockIndex b);
+  // Frees the chunk (if any) and summarizes the block as `kind`.
+  void DropChunk(BlockIndex b, BlockSummary kind);
 
   uint64_t span_pages_ = 0;
-  // One value-initialized Page[kPagesPerBlock] chunk per 128 MiB block,
-  // null until first mutable touch.
-  std::vector<std::unique_ptr<Page[]>> chunks_;
+  // One Page[kPagesPerBlock] chunk per materialized block, null while the
+  // block is summarized.
+  std::vector<Chunk> chunks_;
+  std::vector<Summary> summaries_;
   std::vector<BlockState> blocks_;
   std::vector<uint32_t> allocated_per_block_;
+  std::vector<FreeLink> max_links_;
   uint32_t materialized_ = 0;
   uint32_t materialized_peak_ = 0;
 };

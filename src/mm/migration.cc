@@ -1,6 +1,7 @@
 #include "src/mm/migration.h"
 
 #include <cassert>
+#include <utility>
 
 namespace squeezy {
 
@@ -10,7 +11,7 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
   const Pfn end = start + npages;
   Pfn pfn = start;
   while (pfn < end) {
-    Page& p = memmap.page(pfn);
+    const Page p = std::as_const(memmap).page(pfn);
     if (p.state != PageState::kAllocated) {
       ++pfn;
       continue;

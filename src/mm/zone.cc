@@ -6,6 +6,27 @@
 #include <vector>
 
 namespace squeezy {
+namespace {
+
+// Splits [start, start + npages) at block boundaries.  `whole(b)` is
+// offered each block the range covers entirely and returns whether it
+// handled the block on its own; every other piece goes to
+// `segment(begin, end)`, which never crosses a block boundary.
+template <typename WholeFn, typename SegmentFn>
+void ForEachBlockSegment(Pfn start, uint64_t npages, WholeFn&& whole, SegmentFn&& segment) {
+  const uint64_t end = start + npages;
+  for (uint64_t seg = start; seg < end;) {
+    const BlockIndex b = MemMap::BlockOf(static_cast<Pfn>(seg));
+    const uint64_t block_end = MemMap::BlockStart(b) + uint64_t{kPagesPerBlock};
+    const uint64_t seg_end = std::min(end, block_end);
+    if (seg_end - seg < kPagesPerBlock || !whole(b)) {
+      segment(static_cast<Pfn>(seg), static_cast<Pfn>(seg_end));
+    }
+    seg = seg_end;
+  }
+}
+
+}  // namespace
 
 const char* ZoneTypeName(ZoneType t) {
   switch (t) {
@@ -26,13 +47,21 @@ Zone::Zone(int16_t id, ZoneType type, std::string name, MemMap* memmap, Rng* shu
   assert(memmap_ != nullptr);
 }
 
+FreeLink& Zone::Link(uint8_t order, Pfn pfn) {
+  return order == kMaxPageOrder ? memmap_->max_link(pfn) : memmap_->page(pfn).link;
+}
+
+FreeLink Zone::LinkAt(uint8_t order, Pfn pfn) const {
+  return order == kMaxPageOrder ? map().max_link(pfn) : map().page(pfn).link;
+}
+
 void Zone::ListPushFront(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  Page& p = memmap_->page(pfn);
-  p.prev_free = kInvalidPfn;
-  p.next_free = area.head;
+  FreeLink& link = Link(order, pfn);
+  link.prev = kInvalidPfn;
+  link.next = area.head;
   if (area.head != kInvalidPfn) {
-    memmap_->page(area.head).prev_free = pfn;
+    Link(order, area.head).prev = pfn;
   } else {
     area.tail = pfn;
   }
@@ -42,11 +71,11 @@ void Zone::ListPushFront(uint8_t order, Pfn pfn) {
 
 void Zone::ListPushBack(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  Page& p = memmap_->page(pfn);
-  p.next_free = kInvalidPfn;
-  p.prev_free = area.tail;
+  FreeLink& link = Link(order, pfn);
+  link.next = kInvalidPfn;
+  link.prev = area.tail;
   if (area.tail != kInvalidPfn) {
-    memmap_->page(area.tail).next_free = pfn;
+    Link(order, area.tail).next = pfn;
   } else {
     area.head = pfn;
   }
@@ -56,21 +85,20 @@ void Zone::ListPushBack(uint8_t order, Pfn pfn) {
 
 void Zone::ListRemove(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  Page& p = memmap_->page(pfn);
-  if (p.prev_free != kInvalidPfn) {
-    memmap_->page(p.prev_free).next_free = p.next_free;
+  FreeLink& link = Link(order, pfn);
+  if (link.prev != kInvalidPfn) {
+    Link(order, link.prev).next = link.next;
   } else {
     assert(area.head == pfn);
-    area.head = p.next_free;
+    area.head = link.next;
   }
-  if (p.next_free != kInvalidPfn) {
-    memmap_->page(p.next_free).prev_free = p.prev_free;
+  if (link.next != kInvalidPfn) {
+    Link(order, link.next).prev = link.prev;
   } else {
     assert(area.tail == pfn);
-    area.tail = p.prev_free;
+    area.tail = link.prev;
   }
-  p.next_free = kInvalidPfn;
-  p.prev_free = kInvalidPfn;
+  link = FreeLink{};
   assert(area.nr_free > 0);
   --area.nr_free;
 }
@@ -87,8 +115,9 @@ Pfn Zone::ListPopFront(uint8_t order) {
 
 void Zone::StampFreeChunk(Pfn pfn, uint8_t order) {
   const uint32_t n = 1u << order;
+  Page* pages = &memmap_->page(pfn);  // Chunks never span blocks.
   for (uint32_t i = 0; i < n; ++i) {
-    Page& p = memmap_->page(pfn + i);
+    Page& p = pages[i];
     p.state = PageState::kFree;
     p.kind = PageKind::kNone;
     p.head = (i == 0);
@@ -107,7 +136,7 @@ void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
     if (buddy >= memmap_->span_pages()) {
       break;
     }
-    const Page& bp = memmap_->page(buddy);
+    const Page bp = map().page(buddy);
     if (bp.state != PageState::kFree || !bp.head || bp.order != order || bp.zone_id != id_) {
       break;
     }
@@ -117,6 +146,10 @@ void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
     ++order;
   }
   StampFreeChunk(pfn, order);
+  InsertFreeChunk(pfn, order, fresh);
+}
+
+void Zone::InsertFreeChunk(Pfn pfn, uint8_t order, bool fresh) {
   // Insertion policy mirrors Linux behaviour closely enough for placement
   // realism: freshly onlined memory queues at the tail (a new zone hands
   // out ascending addresses) — randomized in shuffled zones (the
@@ -134,12 +167,25 @@ void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
 }
 
 void Zone::AddFreeRange(Pfn start, uint64_t npages) {
-  // Attribute pages to this zone first.
-  for (Pfn pfn = start; pfn < start + npages; ++pfn) {
-    Page& p = memmap_->page(pfn);
-    assert(p.state == PageState::kOffline);
-    p.zone_id = id_;
-  }
+  // Attribute pages to this zone first: a whole summarized offline block
+  // in one step (its frames then read as free max-order chunks), any other
+  // frame one by one.
+  ForEachBlockSegment(
+      start, npages,
+      [this](BlockIndex b) {
+        if (map().summary(b) != BlockSummary::kOffline) {
+          return false;
+        }
+        memmap_->SetSummary(b, BlockSummary::kFree, id_);
+        return true;
+      },
+      [this](Pfn begin, Pfn end) {
+        Page* pages = &memmap_->page(begin);  // One chunk: the segment is in one block.
+        for (Pfn i = 0; i < end - begin; ++i) {
+          assert(pages[i].state == PageState::kOffline);
+          pages[i].zone_id = id_;
+        }
+      });
   present_pages_ += npages;
   managed_pages_ += npages;
   free_pages_ += npages;
@@ -164,7 +210,13 @@ void Zone::AddFreeRange(Pfn start, uint64_t npages) {
     shuffle_rng_->Shuffle(chunks.begin(), chunks.end());
   }
   for (const auto& [chunk_pfn, chunk_order] : chunks) {
-    FreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
+    if (map().BlockMaterialized(MemMap::BlockOf(chunk_pfn))) {
+      FreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
+    } else {
+      // A kFree summary's chunk already reads as a stamped max-order head
+      // (and cannot coalesce further): only its list position is new.
+      InsertFreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
+    }
   }
 }
 
@@ -190,16 +242,16 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
   }
 
   const uint32_t n = 1u << order;
+  Page* pages = &memmap_->page(chunk);  // Folios never span blocks.
   for (uint32_t i = 0; i < n; ++i) {
-    Page& p = memmap_->page(chunk + i);
+    Page& p = pages[i];
     p.state = PageState::kAllocated;
     p.kind = kind;
     p.head = (i == 0);
     p.order = order;
     p.owner = (i == 0) ? owner : kNoOwner;
     p.owner_slot = (i == 0) ? owner_slot : 0;
-    p.next_free = kInvalidPfn;
-    p.prev_free = kInvalidPfn;
+    p.link = FreeLink{};
   }
   assert(free_pages_ >= n);
   free_pages_ -= n;
@@ -224,7 +276,7 @@ void Zone::FreeIntoIsolation(Pfn head) {
   const uint32_t n = 1u << p.order;
   memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(n));
   for (uint32_t i = 0; i < n; ++i) {
-    Page& q = memmap_->page(head + i);
+    Page& q = (&p)[i];  // Folios never span blocks.
     q.state = PageState::kIsolated;
     q.kind = PageKind::kNone;
     q.head = false;
@@ -238,28 +290,50 @@ void Zone::FreeIntoIsolation(Pfn head) {
 
 uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
   uint64_t isolated = 0;
-  Pfn pfn = start;
-  const Pfn end = start + npages;
-  while (pfn < end) {
-    Page& p = memmap_->page(pfn);
-    if (p.state == PageState::kFree && p.head) {
-      const uint8_t order = p.order;
-      const uint32_t n = 1u << order;
-      assert(pfn + n <= end && "free chunks never straddle block boundaries");
-      ListRemove(order, pfn);
-      for (uint32_t i = 0; i < n; ++i) {
-        Page& q = memmap_->page(pfn + i);
-        q.state = PageState::kIsolated;
-        q.head = false;
-        q.order = 0;
-      }
-      isolated += n;
-      pfn += n;
-    } else {
-      assert(p.state != PageState::kFree && "tail free page without a head in range");
-      ++pfn;
-    }
-  }
+  ForEachBlockSegment(
+      start, npages,
+      [this, &isolated](BlockIndex b) {
+        if (map().summary(b) != BlockSummary::kFree) {
+          return false;
+        }
+        // Every frame is free, in exactly the block's 32 listed chunks.
+        assert(map().summary_zone(b) == id_);
+        const Pfn first = MemMap::BlockStart(b);
+        for (Pfn chunk = first; chunk < first + kPagesPerBlock; chunk += 1u << kMaxPageOrder) {
+          ListRemove(kMaxPageOrder, chunk);
+        }
+        memmap_->SetSummary(b, BlockSummary::kIsolated, id_);
+        isolated += kPagesPerBlock;
+        return true;
+      },
+      [this, &isolated](Pfn begin, Pfn end) {
+        const BlockIndex b = MemMap::BlockOf(begin);
+        if (!map().BlockMaterialized(b) && map().summary(b) != BlockSummary::kFree) {
+          return;  // A summary without free frames: nothing to isolate.
+        }
+        Page* pages = &memmap_->page(begin);  // One chunk: the segment is in one block.
+        Pfn pfn = begin;
+        while (pfn < end) {
+          const Page& p = pages[pfn - begin];
+          if (p.state == PageState::kFree && p.head) {
+            const uint8_t order = p.order;
+            const uint32_t n = 1u << order;
+            assert(pfn + n <= end && "free chunks never straddle block boundaries");
+            ListRemove(order, pfn);
+            for (uint32_t i = 0; i < n; ++i) {
+              Page& q = pages[pfn - begin + i];
+              q.state = PageState::kIsolated;
+              q.head = false;
+              q.order = 0;
+            }
+            isolated += n;
+            pfn += n;
+          } else {
+            assert(p.state != PageState::kFree && "tail free page without a head in range");
+            ++pfn;
+          }
+        }
+      });
   assert(free_pages_ >= isolated);
   free_pages_ -= isolated;
   return isolated;
@@ -268,14 +342,14 @@ uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
 void Zone::UndoIsolation(Pfn start, uint64_t npages) {
   // Re-free maximal runs of isolated pages.
   Pfn pfn = start;
-  const Pfn end = start + npages;
+  const Pfn end = start + static_cast<Pfn>(npages);
   while (pfn < end) {
-    if (memmap_->page(pfn).state != PageState::kIsolated) {
+    if (map().page(pfn).state != PageState::kIsolated) {
       ++pfn;
       continue;
     }
     Pfn run_end = pfn;
-    while (run_end < end && memmap_->page(run_end).state == PageState::kIsolated) {
+    while (run_end < end && map().page(run_end).state == PageState::kIsolated) {
       ++run_end;
     }
     uint64_t remaining = run_end - pfn;
@@ -293,15 +367,28 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
 }
 
 void Zone::RetireRange(Pfn start, uint64_t npages) {
-  for (Pfn pfn = start; pfn < start + npages; ++pfn) {
-    Page& p = memmap_->page(pfn);
-    assert(p.state == PageState::kIsolated);
-    assert(p.zone_id == id_);
-    p.state = PageState::kOffline;
-    p.zone_id = -1;
-    p.head = false;
-    p.order = 0;
-  }
+  ForEachBlockSegment(
+      start, npages,
+      [this](BlockIndex b) {
+        if (map().summary(b) != BlockSummary::kIsolated) {
+          return false;
+        }
+        assert(map().summary_zone(b) == id_);
+        memmap_->SetSummary(b, BlockSummary::kOffline);
+        return true;
+      },
+      [this](Pfn begin, Pfn end) {
+        Page* pages = &memmap_->page(begin);  // One chunk: the segment is in one block.
+        for (Pfn i = 0; i < end - begin; ++i) {
+          Page& p = pages[i];
+          assert(p.state == PageState::kIsolated);
+          assert(p.zone_id == id_);
+          p.state = PageState::kOffline;
+          p.zone_id = -1;
+          p.head = false;
+          p.order = 0;
+        }
+      });
   assert(present_pages_ >= npages && managed_pages_ >= npages);
   present_pages_ -= npages;
   managed_pages_ -= npages;
@@ -312,7 +399,7 @@ void Zone::ShuffleFreeLists(Rng& rng) {
     FreeArea& area = areas_[order];
     std::vector<Pfn> chunks;
     chunks.reserve(area.nr_free);
-    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = memmap_->page(pfn).next_free) {
+    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = LinkAt(order, pfn).next) {
       chunks.push_back(pfn);
     }
     rng.Shuffle(chunks.begin(), chunks.end());
@@ -331,15 +418,15 @@ bool Zone::CheckFreeLists() const {
     const FreeArea& area = areas_[order];
     uint64_t chunks = 0;
     Pfn prev = kInvalidPfn;
-    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = memmap_->page(pfn).next_free) {
-      const Page& p = memmap_->page(pfn);
+    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = LinkAt(order, pfn).next) {
+      const Page p = map().page(pfn);
       if (p.state != PageState::kFree || !p.head || p.order != order || p.zone_id != id_) {
         return false;
       }
       if ((pfn & ((1u << order) - 1)) != 0) {
         return false;  // Misaligned chunk.
       }
-      if (p.prev_free != prev) {
+      if (LinkAt(order, pfn).prev != prev) {
         return false;  // Broken back-link.
       }
       prev = pfn;

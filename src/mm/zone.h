@@ -3,12 +3,26 @@
 // Mirrors the Linux design the paper builds on: hot-plugged memory is
 // onlined into ZONE_MOVABLE (or, under Squeezy, into a per-partition
 // zone); the buddy allocator serves folios of order 0..kMaxPageOrder from
-// intrusive per-order free lists threaded through the memmap.
+// intrusive per-order free lists.  Sub-max-order lists thread through the
+// memmap's Page heads; the max-order list threads through the MemMap's
+// link side table, so whole blocks can sit on it as summaries (memmap.h).
 //
 // The offline path uses the isolation primitives: free pages in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
 // cannot land in a block that is going away, occupied folios are migrated
 // out, and finally the fully-isolated range is retired (kOffline).
+//
+// Summarized blocks.  Each range operation works block by block.  A whole
+// block that is summarized takes the block-level path: AddFreeRange
+// (kOffline -> kFree) and IsolateFreeRange (kFree -> kIsolated) only link
+// or unlink its 32 max-order chunks, RetireRange (kIsolated -> kOffline)
+// is O(1).  The free-list order and the shuffle RNG's draws are exactly
+// those of the per-page path.  Any other range, and the first Alloc that
+// pops a kFree block's chunk, materializes the block (one stamping pass)
+// and continues per page.  Every read a zone makes without intending to
+// write goes through the memmap's const accessor, so inspection
+// (CheckFreeLists, ShuffleFreeLists, coalescing probes) never
+// materializes anything.
 #ifndef SQUEEZY_MM_ZONE_H_
 #define SQUEEZY_MM_ZONE_H_
 
@@ -91,7 +105,8 @@ class Zone {
   void ShuffleFreeLists(Rng& rng);
 
   // Debug invariant check: walks the free lists and verifies linkage,
-  // alignment, state and the per-order counters.  O(free chunks).
+  // alignment, state and the per-order counters.  O(free chunks); reads
+  // only, so it materializes nothing.
   bool CheckFreeLists() const;
 
  private:
@@ -100,6 +115,11 @@ class Zone {
     Pfn tail = kInvalidPfn;
     uint64_t nr_free = 0;  // Chunks (not pages) in this list.
   };
+
+  // The free-list links of a listed chunk head of `order`.
+  FreeLink& Link(uint8_t order, Pfn pfn);
+  FreeLink LinkAt(uint8_t order, Pfn pfn) const;
+  const MemMap& map() const { return *memmap_; }
 
   void ListPushFront(uint8_t order, Pfn pfn);
   void ListPushBack(uint8_t order, Pfn pfn);
@@ -110,6 +130,8 @@ class Zone {
   // `fresh` chunks (newly onlined) queue at the tail; runtime frees at the
   // head (hot reuse), unless the shuffle RNG randomizes the side.
   void FreeChunk(Pfn pfn, uint8_t order, bool fresh = false);
+  // Queues a stamped free chunk per FreeChunk's insertion policy.
+  void InsertFreeChunk(Pfn pfn, uint8_t order, bool fresh);
   // Marks the frames of a chunk as a free chunk (head/tails).
   void StampFreeChunk(Pfn pfn, uint8_t order);
 

@@ -20,8 +20,11 @@ class CpuAccountant {
  public:
   explicit CpuAccountant(DurationNs window = Sec(1));
 
-  // Records that `thread` was busy for [start, start + busy).
-  void AddBusy(const std::string& thread, TimeNs start, DurationNs busy);
+  // Records that `thread` was busy for [start, start + busy), `repeat`
+  // times over: exactly what `repeat` separate calls would record (each
+  // interval splits at window boundaries on its own, which one interval
+  // of repeat * busy would not).
+  void AddBusy(const std::string& thread, TimeNs start, DurationNs busy, int64_t repeat = 1);
 
   // Utilization (0..100) of `thread` in the window containing `t`.
   double UtilizationAt(const std::string& thread, TimeNs t) const;

@@ -226,5 +226,49 @@ TEST_F(GuestTest, HostPopulationGrowsWithTouches) {
   EXPECT_EQ(host_->populated(), before);
 }
 
+// --- Block summaries ------------------------------------------------------------
+
+TEST_F(GuestTest, BlockZoneReadsSummarizedBlockWithoutMaterializing) {
+  ASSERT_TRUE(guest_->PlugMemory(MiB(256), 0).complete);
+  const BlockIndex b = guest_->hotplug_first_block();
+  const uint32_t before = guest_->memmap().materialized_blocks();
+  EXPECT_FALSE(guest_->memmap().BlockMaterialized(b));
+  EXPECT_EQ(guest_->BlockZone(b), &guest_->movable_zone());
+  EXPECT_EQ(guest_->memmap().materialized_blocks(), before);
+}
+
+TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
+  // Two identical guests; in the twin every present block is materialized
+  // by a mutable touch first, so its warm-up walks pages as it always did.
+  CostModel cost = CostModel::Default();
+  HostMemory host(GiB(32));
+  HostMemory twin_host(GiB(32));
+  Hypervisor hv(&host, &cost);
+  Hypervisor twin_hv(&twin_host, &cost);
+  GuestConfig cfg;
+  cfg.base_memory = MiB(512);
+  cfg.hotplug_region = GiB(1);
+  GuestKernel guest(cfg, &hv);
+  GuestKernel twin(cfg, &twin_hv);
+  for (GuestKernel* g : {&guest, &twin}) {
+    ASSERT_TRUE(g->PlugMemory(MiB(384), 0).complete);
+  }
+  for (BlockIndex b = 0; b < twin.memmap().block_count(); ++b) {
+    if (twin.memmap().block_state(b) != BlockState::kAbsent) {
+      twin.memmap().page(MemMap::BlockStart(b));
+    }
+  }
+  const BlockIndex hole = guest.hotplug_first_block() + 3;
+  ASSERT_EQ(guest.memmap().block_state(hole), BlockState::kAbsent);
+  guest.WarmAllHostBacking(Sec(1));
+  twin.WarmAllHostBacking(Sec(1));
+  EXPECT_EQ(hv.stats(guest.vm_id()).populated_bytes,
+            twin_hv.stats(twin.vm_id()).populated_bytes);
+  EXPECT_EQ(host.populated(), twin_host.populated());
+  EXPECT_EQ(host.populated(), MiB(512) + MiB(384));
+  // Holes stay summarized: there is nothing behind them to warm.
+  EXPECT_FALSE(guest.memmap().BlockMaterialized(hole));
+}
+
 }  // namespace
 }  // namespace squeezy

@@ -74,6 +74,32 @@ TEST_F(HypervisorTest, NestedFaultPopulates) {
   EXPECT_EQ(host_.populated(), MiB(6));
 }
 
+TEST_F(HypervisorTest, BatchedFaultsBookLikeSeparateFaults) {
+  // N same-instant faults booked as one call leave every book as N calls
+  // would, the vmm thread's busy windows included (the faults straddle a
+  // window boundary).
+  HostMemory twin_host(GiB(8));
+  CpuAccountant twin_cpu(Sec(1));
+  Hypervisor twin(&twin_host, &cost_, &twin_cpu);
+  const VmId vm = hv_.RegisterVm("vm", 1);
+  const VmId twin_vm = twin.RegisterVm("vm", 1);
+  const TimeNs now = Sec(2) - 100;
+  DurationNs separate = 0;
+  for (int i = 0; i < 5; ++i) {
+    separate += twin.NestedFaultPopulate(twin_vm, 2, MiB(1), now);
+  }
+  EXPECT_EQ(hv_.NestedFaultPopulate(vm, 2, MiB(5), now, 5), separate);
+  EXPECT_EQ(hv_.stats(vm).nested_faults, twin.stats(twin_vm).nested_faults);
+  EXPECT_EQ(hv_.stats(vm).exits, twin.stats(twin_vm).exits);
+  EXPECT_EQ(hv_.stats(vm).exit_time, twin.stats(twin_vm).exit_time);
+  EXPECT_EQ(hv_.stats(vm).populated_bytes, twin.stats(twin_vm).populated_bytes);
+  EXPECT_EQ(host_.populated_series().points().size(),
+            twin_host.populated_series().points().size());
+  EXPECT_EQ(host_.populated(), twin_host.populated());
+  EXPECT_EQ(cpu_.Series("vmm/vm"), twin_cpu.Series("vmm/vm"));
+  EXPECT_EQ(cpu_.TotalBusy("vmm/vm"), twin_cpu.TotalBusy("vmm/vm"));
+}
+
 TEST_F(HypervisorTest, AckUnplugReleasesBacking) {
   const VmId vm = hv_.RegisterVm("vm", 1);
   hv_.NestedFaultPopulate(vm, 64, kMemoryBlockBytes, 0);

@@ -166,6 +166,21 @@ TEST_F(HotplugTest, FullCycleAddOnlineOfflineRemoveRepeats) {
   EXPECT_EQ(mgr_->blocks_removed(), 3u);
 }
 
+TEST_F(HotplugTest, UntouchedBlockCycleMaterializesNoChunk) {
+  // plug -> online -> offline -> hot-remove of a never-allocated block
+  // runs on its block summary alone.
+  AddOnline(2);
+  const OfflineResult res = mgr_->OfflineBlock(2, zone_.get(), zone_.get(), OfflineOptions{});
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.pages_migrated, 0u);
+  EXPECT_EQ(res.breakdown.zeroing, cost_.ZeroPages(kPagesPerBlock));
+  UnplugBreakdown bd;
+  EXPECT_EQ(mgr_->HotRemoveBlock(2, &bd, 0), cost_.block_unplug_exit);
+  EXPECT_EQ(memmap_->block_state(2), BlockState::kAbsent);
+  EXPECT_EQ(zone_->managed_pages(), 0u);
+  EXPECT_EQ(memmap_->materialized_peak_blocks(), 0u);
+}
+
 TEST_F(HotplugTest, BreakdownTotalSumsSlices) {
   UnplugBreakdown bd;
   bd.zeroing = 1;

@@ -4,6 +4,7 @@
 #include "src/mm/memmap.h"
 #include "src/mm/zone.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/rng.h"
 
 namespace squeezy {
 namespace {
@@ -125,6 +126,8 @@ TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
   // flag before tearing down — the chunk's sim memory must come back.
   MemMap m(GiB(1));
   m.InitBlock(0);
+  EXPECT_EQ(m.materialized_blocks(), 0u);  // A hot-added block is a summary.
+  m.page(5);  // A mutable touch materializes it.
   EXPECT_EQ(m.materialized_blocks(), 1u);
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
@@ -140,7 +143,8 @@ TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
 
 TEST(MemMapTest, TeardownKeepsChunkWhileHostBackingSurvives) {
   // Population flags must survive guest-side teardown (see
-  // HostPopulatedSurvivesTeardown) — the chunk cannot be freed then.
+  // HostPopulatedSurvivesTeardown) — the chunk cannot be freed then.  The
+  // flag write is what materializes the hot-added block.
   MemMap m(GiB(1));
   m.InitBlock(0);
   m.page(17).host_populated = true;
@@ -150,11 +154,110 @@ TEST(MemMapTest, TeardownKeepsChunkWhileHostBackingSurvives) {
   EXPECT_EQ(m.materialized_blocks(), 1u);
 }
 
+TEST(MemMapTest, InitBlockDropsSurvivingHostBacking) {
+  // Re-adding a block whose teardown kept host flags starts it afresh.
+  MemMap m(GiB(1));
+  m.InitBlock(0);
+  m.page(17).host_populated = true;
+  m.set_block_state(0, BlockState::kOffline);
+  m.TeardownBlock(0);
+  m.InitBlock(0);
+  EXPECT_FALSE(m.BlockMaterialized(0));
+  const MemMap& cm = m;
+  EXPECT_EQ(cm.page(17).state, PageState::kOffline);
+  EXPECT_FALSE(cm.page(17).host_populated);
+}
+
+TEST(MemMapTest, UntouchedBlockCycleMaterializesNothing) {
+  // plug -> online -> offline -> hot-remove of a block nothing was ever
+  // allocated from, in a shuffled and an unshuffled zone.
+  for (const bool shuffled : {false, true}) {
+    MemMap m(GiB(1));
+    Rng rng(11);
+    Zone zone(0, ZoneType::kMovable, "z", &m, shuffled ? &rng : nullptr);
+    const Pfn start = MemMap::BlockStart(2);
+    m.InitBlock(2);
+    EXPECT_EQ(m.summary(2), BlockSummary::kOffline);
+    zone.AddFreeRange(start, kPagesPerBlock);
+    EXPECT_EQ(m.summary(2), BlockSummary::kFree);
+    EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 32u);
+    EXPECT_TRUE(zone.CheckFreeLists());
+    EXPECT_EQ(zone.IsolateFreeRange(start, kPagesPerBlock), static_cast<uint64_t>(kPagesPerBlock));
+    EXPECT_EQ(m.summary(2), BlockSummary::kIsolated);
+    EXPECT_EQ(zone.free_pages(), 0u);
+    zone.RetireRange(start, kPagesPerBlock);
+    EXPECT_EQ(m.summary(2), BlockSummary::kOffline);
+    EXPECT_EQ(zone.managed_pages(), 0u);
+    EXPECT_EQ(m.ClearHostPopulated(2), 0u);
+    m.set_block_state(2, BlockState::kOffline);
+    m.TeardownBlock(2);
+    EXPECT_EQ(m.summary(2), BlockSummary::kHole);
+    EXPECT_EQ(m.materialized_peak_blocks(), 0u);
+  }
+}
+
+TEST(MemMapTest, ConstReadsSynthesizeSummaryFrames) {
+  MemMap m(GiB(1));
+  Zone zone(3, ZoneType::kMovable, "z", &m);
+  m.InitBlock(1);
+  zone.AddFreeRange(MemMap::BlockStart(1), kPagesPerBlock);
+  const MemMap& cm = m;
+  const Pfn head = MemMap::BlockStart(1) + (5u << kMaxPageOrder);
+  const Page h = cm.page(head);
+  EXPECT_EQ(h.state, PageState::kFree);
+  EXPECT_TRUE(h.head);
+  EXPECT_EQ(h.order, kMaxPageOrder);
+  EXPECT_EQ(h.zone_id, 3);
+  const Page t = cm.page(head + 1);
+  EXPECT_EQ(t.state, PageState::kFree);
+  EXPECT_FALSE(t.head);
+  EXPECT_EQ(t.order, kMaxPageOrder);
+  EXPECT_EQ(cm.FolioHead(head + 77), head);
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  // Materializing stamps exactly the frames the summary synthesized.
+  EXPECT_EQ(m.page(head).head, true);
+  EXPECT_EQ(m.page(head + 1).head, false);
+  EXPECT_EQ(m.page(head + 1).zone_id, 3);
+  EXPECT_EQ(m.materialized_blocks(), 1u);
+}
+
 TEST(MemMapTest, CountBlockPagesOnAbsentChunk) {
   MemMap m(GiB(1));
   EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), static_cast<uint64_t>(kPagesPerBlock));
   EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), 0u);
   EXPECT_EQ(m.materialized_blocks(), 0u);  // Counting must not materialize.
+}
+
+TEST(MemMapTest, CountBlockPagesOnSummarizedBlocks) {
+  // Each summary answers as its per-page twin (a block materialized by a
+  // mutable touch) does, and counting materializes nothing.
+  MemMap m(GiB(1));
+  MemMap twin(GiB(1));
+  Zone zone(0, ZoneType::kMovable, "z", &m);
+  Zone twin_zone(0, ZoneType::kMovable, "z", &twin);
+  auto expect_same = [&](BlockIndex b) {
+    const uint32_t before = m.materialized_blocks();
+    for (const PageState st : {PageState::kHole, PageState::kFree, PageState::kAllocated,
+                               PageState::kIsolated, PageState::kOffline}) {
+      EXPECT_EQ(m.CountBlockPages(b, st), twin.CountBlockPages(b, st));
+    }
+    EXPECT_EQ(m.materialized_blocks(), before);
+  };
+  for (BlockIndex b = 0; b < 3; ++b) {
+    m.InitBlock(b);
+    twin.InitBlock(b);
+    twin.page(MemMap::BlockStart(b));
+  }
+  expect_same(0);
+  zone.AddFreeRange(MemMap::BlockStart(1), 2 * kPagesPerBlock);
+  twin_zone.AddFreeRange(MemMap::BlockStart(1), 2 * kPagesPerBlock);
+  expect_same(1);
+  zone.IsolateFreeRange(MemMap::BlockStart(2), kPagesPerBlock);
+  twin_zone.IsolateFreeRange(MemMap::BlockStart(2), kPagesPerBlock);
+  expect_same(2);
+  expect_same(5);
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(twin.materialized_blocks(), 3u);
 }
 
 TEST(MemMapTest, OccupancyCounterStartsZero) {

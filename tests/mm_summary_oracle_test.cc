@@ -1,0 +1,278 @@
+// Oracle fuzz for the block-summary MemMap: the production MemMap + Zone
+// and the per-page oracle (flat_mm_oracle.h) run the same random sequence
+// of plug / online (shuffled and unshuffled zones) / Alloc at orders 0, 9
+// and 10 / Free / isolate / UndoIsolation / FreeIntoIsolation / retire /
+// hot-remove / ShuffleFreeLists operations.  Every returned pfn and count,
+// every zone counter and every frame (state, ownership, host flag and
+// free-list links, read without materializing) must agree.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/mm/memmap.h"
+#include "src/mm/zone.h"
+#include "src/sim/cost_model.h"
+#include "src/sim/rng.h"
+#include "tests/flat_mm_oracle.h"
+
+namespace squeezy {
+namespace {
+
+constexpr uint32_t kBlocks = 6;
+constexpr int kSteps = 300;
+
+enum class Model { kAbsent, kPresent, kOnline, kIsolating, kOffline };
+
+struct Folio {
+  Pfn head;
+  uint8_t order;
+  size_t zone;
+};
+
+bool SameLink(const FreeLink& a, const FreeLink& b) {
+  return a.next == b.next && a.prev == b.prev;
+}
+
+// Compares every frame of block b; the production side through const reads.
+void ExpectSameBlock(const MemMap& m, const oracle::FlatMemMap& o, BlockIndex b, int step) {
+  const Pfn start = MemMap::BlockStart(b);
+  for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
+    const Page got = m.page(pfn);
+    const Page& want = o.page(pfn);
+    const bool max_head =
+        want.state == PageState::kFree && want.head && want.order == kMaxPageOrder;
+    ASSERT_TRUE(got.state == want.state && got.kind == want.kind && got.order == want.order &&
+                got.head == want.head && got.host_populated == want.host_populated &&
+                got.zone_id == want.zone_id && got.owner == want.owner &&
+                got.owner_slot == want.owner_slot)
+        << "frame " << pfn << " differs at step " << step;
+    // Max-order heads keep their links in the side table, everyone else in Page.
+    ASSERT_TRUE(SameLink(got.link, max_head ? FreeLink{} : want.link))
+        << "page link of " << pfn << " differs at step " << step;
+    if ((pfn & ((1u << kMaxPageOrder) - 1)) == 0) {
+      ASSERT_TRUE(SameLink(m.max_link(pfn), max_head ? want.link : FreeLink{}))
+          << "max-order link of " << pfn << " differs at step " << step;
+    }
+  }
+  ASSERT_EQ(m.BlockOccupied(b), o.BlockOccupied(b)) << "block " << b << " step " << step;
+}
+
+class SummaryOracleFuzzTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
+  const uint64_t seed = GetParam();
+  MemMap m(kBlocks * kMemoryBlockBytes);
+  oracle::FlatMemMap o(kBlocks * kMemoryBlockBytes);
+  // Zone 0 is unshuffled, zone 1 shuffled; each side owns an identically
+  // seeded shuffle RNG, so equal draws keep them in step.
+  Rng shuffle(seed + 100);
+  Rng oracle_shuffle(seed + 100);
+  Zone z0(0, ZoneType::kMovable, "z0", &m);
+  Zone z1(1, ZoneType::kMovable, "z1", &m, &shuffle);
+  oracle::FlatZone o0(0, &o, nullptr);
+  oracle::FlatZone o1(1, &o, &oracle_shuffle);
+  Zone* zones[] = {&z0, &z1};
+  oracle::FlatZone* ozones[] = {&o0, &o1};
+
+  std::vector<Model> model(kBlocks, Model::kAbsent);
+  std::vector<size_t> block_zone(kBlocks, 0);
+  std::vector<Folio> live;
+  Rng rng(seed * 7919 + 3);
+
+  auto pick_block = [&](Model want) -> int64_t {
+    std::vector<BlockIndex> candidates;
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      if (model[b] == want) {
+        candidates.push_back(b);
+      }
+    }
+    if (candidates.empty()) {
+      return -1;
+    }
+    return candidates[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))];
+  };
+  auto pick_folio = [&](Model want) -> int64_t {
+    std::vector<size_t> candidates;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (model[MemMap::BlockOf(live[i].head)] == want) {
+        candidates.push_back(i);
+      }
+    }
+    if (candidates.empty()) {
+      return -1;
+    }
+    return static_cast<int64_t>(candidates[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))]);
+  };
+  auto drop_folio = [&](size_t i) {
+    live[i] = live.back();
+    live.pop_back();
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    switch (rng.UniformInt(0, 10)) {
+      case 0: {  // Plug.
+        const int64_t b = pick_block(Model::kAbsent);
+        if (b >= 0) {
+          m.InitBlock(static_cast<BlockIndex>(b));
+          o.InitBlock(static_cast<uint32_t>(b));
+          model[static_cast<size_t>(b)] = Model::kPresent;
+        }
+        break;
+      }
+      case 1: {  // Online one block, or two adjacent ones in one range.
+        const int64_t b = pick_block(Model::kPresent);
+        if (b < 0) {
+          break;
+        }
+        const size_t bi = static_cast<size_t>(b);
+        const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        const bool pair = bi + 1 < kBlocks && model[bi + 1] == Model::kPresent && rng.Chance(0.3);
+        const uint64_t npages = (pair ? 2u : 1u) * kPagesPerBlock;
+        zones[z]->AddFreeRange(MemMap::BlockStart(static_cast<BlockIndex>(b)), npages);
+        ozones[z]->AddFreeRange(MemMap::BlockStart(static_cast<BlockIndex>(b)), npages);
+        for (size_t k = bi; k < bi + (pair ? 2 : 1); ++k) {
+          model[k] = Model::kOnline;
+          block_zone[k] = z;
+        }
+        break;
+      }
+      case 2:
+      case 3: {  // Alloc, host-backing the folio now and then.
+        const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        const uint8_t orders[] = {0, 0, kThpOrder, kMaxPageOrder};
+        const uint8_t order = orders[rng.UniformInt(0, 3)];
+        const uint32_t slot = static_cast<uint32_t>(step);
+        const Pfn got = zones[z]->Alloc(order, PageKind::kAnon, 7, slot);
+        const Pfn want = ozones[z]->Alloc(order, PageKind::kAnon, 7, slot);
+        ASSERT_EQ(got, want) << "alloc order " << int{order} << " step " << step;
+        if (got != kInvalidPfn) {
+          live.push_back({got, order, z});
+          if (rng.Chance(0.5)) {
+            for (Pfn pfn = got; pfn < got + (1u << order); ++pfn) {
+              m.page(pfn).host_populated = true;
+              o.page(pfn).host_populated = true;
+            }
+          }
+        }
+        break;
+      }
+      case 4: {  // Free a folio of an online block.
+        const int64_t i = pick_folio(Model::kOnline);
+        if (i >= 0) {
+          const Folio f = live[static_cast<size_t>(i)];
+          zones[f.zone]->Free(f.head);
+          ozones[f.zone]->Free(f.head);
+          drop_folio(static_cast<size_t>(i));
+        }
+        break;
+      }
+      case 5: {  // Isolate an online block.
+        const int64_t b = pick_block(Model::kOnline);
+        if (b >= 0) {
+          const size_t z = block_zone[static_cast<size_t>(b)];
+          const Pfn start = MemMap::BlockStart(static_cast<BlockIndex>(b));
+          ASSERT_EQ(zones[z]->IsolateFreeRange(start, kPagesPerBlock),
+                    ozones[z]->IsolateFreeRange(start, kPagesPerBlock));
+          model[static_cast<size_t>(b)] = Model::kIsolating;
+        }
+        break;
+      }
+      case 6: {  // Abort an offline, or migrate a folio out of the block.
+        if (rng.Chance(0.5)) {
+          const int64_t b = pick_block(Model::kIsolating);
+          if (b >= 0) {
+            const size_t z = block_zone[static_cast<size_t>(b)];
+            const Pfn start = MemMap::BlockStart(static_cast<BlockIndex>(b));
+            zones[z]->UndoIsolation(start, kPagesPerBlock);
+            ozones[z]->UndoIsolation(start, kPagesPerBlock);
+            model[static_cast<size_t>(b)] = Model::kOnline;
+          }
+        } else {
+          const int64_t i = pick_folio(Model::kIsolating);
+          if (i >= 0) {
+            const Folio f = live[static_cast<size_t>(i)];
+            zones[f.zone]->FreeIntoIsolation(f.head);
+            ozones[f.zone]->FreeIntoIsolation(f.head);
+            drop_folio(static_cast<size_t>(i));
+          }
+        }
+        break;
+      }
+      case 7: {  // Retire a fully isolated block.
+        const int64_t b = pick_block(Model::kIsolating);
+        if (b >= 0 && m.BlockOccupied(static_cast<BlockIndex>(b)) == 0) {
+          const size_t z = block_zone[static_cast<size_t>(b)];
+          const Pfn start = MemMap::BlockStart(static_cast<BlockIndex>(b));
+          zones[z]->RetireRange(start, kPagesPerBlock);
+          ozones[z]->RetireRange(start, kPagesPerBlock);
+          model[static_cast<size_t>(b)] = Model::kOffline;
+        }
+        break;
+      }
+      case 8: {  // Hot-remove an offline block.
+        const int64_t b = pick_block(Model::kOffline);
+        if (b >= 0) {
+          const BlockIndex bi = static_cast<BlockIndex>(b);
+          const uint64_t cleared = m.ClearHostPopulated(bi);
+          m.set_block_state(bi, BlockState::kOffline);
+          m.TeardownBlock(bi);
+          ASSERT_EQ(cleared, o.ClearAndTeardownBlock(bi));
+          EXPECT_FALSE(m.BlockMaterialized(bi));
+          model[static_cast<size_t>(b)] = Model::kAbsent;
+        }
+        break;
+      }
+      case 9: {  // Re-randomize a zone's free lists.
+        const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        Rng a(seed * 31 + static_cast<uint64_t>(step));
+        Rng b(seed * 31 + static_cast<uint64_t>(step));
+        zones[z]->ShuffleFreeLists(a);
+        ozones[z]->ShuffleFreeLists(b);
+        break;
+      }
+      case 10: {  // A mutable touch materializes whatever block it lands in.
+        const Pfn pfn =
+            static_cast<Pfn>(rng.UniformInt(0, static_cast<int64_t>(m.span_pages()) - 1));
+        const Page before = std::as_const(m).page(pfn);
+        const Page& after = m.page(pfn);
+        ASSERT_TRUE(before.state == after.state && before.zone_id == after.zone_id &&
+                    before.head == after.head && before.order == after.order);
+        break;
+      }
+    }
+
+    for (size_t z = 0; z < 2; ++z) {
+      ASSERT_TRUE(zones[z]->CheckFreeLists()) << "zone " << z << " step " << step;
+      ASSERT_EQ(zones[z]->free_pages(), ozones[z]->free_pages()) << "step " << step;
+      ASSERT_EQ(zones[z]->present_pages(), ozones[z]->present_pages()) << "step " << step;
+      ASSERT_EQ(zones[z]->managed_pages(), ozones[z]->managed_pages()) << "step " << step;
+      for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
+        ASSERT_EQ(zones[z]->free_chunks(order), ozones[z]->free_chunks(order))
+            << "zone " << z << " order " << int{order} << " step " << step;
+      }
+    }
+    if (step % 10 == 0 || step == kSteps - 1) {
+      const uint32_t materialized = m.materialized_blocks();
+      for (BlockIndex b = 0; b < kBlocks; ++b) {
+        ExpectSameBlock(m, o, b, step);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+      ASSERT_EQ(m.materialized_blocks(), materialized) << "a const read materialized";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SummaryOracleFuzzTest, testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
+                         [](const testing::TestParamInfo<uint64_t>& param_info) {
+                           return "seed" + std::to_string(param_info.param);
+                         });
+
+}  // namespace
+}  // namespace squeezy

@@ -276,6 +276,42 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(param_info.param));
     });
 
+// A zone over summarized blocks against its per-page twin (every block
+// materialized by a mutable touch before onlining): the inspection walkers
+// give the same answers and the same shuffle, and materialize nothing.
+TEST(ZoneSummaryTest, InspectionWalkersAreReadOnlyOnSummaries) {
+  MemMap m(GiB(1));
+  MemMap twin(GiB(1));
+  Rng rng(5);
+  Rng twin_rng(5);
+  Zone zone(0, ZoneType::kMovable, "z", &m, &rng);
+  Zone twin_zone(0, ZoneType::kMovable, "z", &twin, &twin_rng);
+  for (BlockIndex b = 0; b < 4; ++b) {
+    m.InitBlock(b);
+    twin.InitBlock(b);
+    twin.page(MemMap::BlockStart(b));
+    zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+    twin_zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+  }
+  EXPECT_TRUE(zone.CheckFreeLists());
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  Rng shuffle(9);
+  Rng twin_shuffle(9);
+  zone.ShuffleFreeLists(shuffle);
+  twin_zone.ShuffleFreeLists(twin_shuffle);
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_TRUE(zone.CheckFreeLists());
+  EXPECT_EQ(zone.free_chunks(kMaxPageOrder), twin_zone.free_chunks(kMaxPageOrder));
+  // Same list order: the pick sequences agree (popping materializes).
+  for (int i = 0; i < 40; ++i) {
+    const uint8_t order = i % 3 == 0 ? kMaxPageOrder : uint8_t{0};
+    ASSERT_EQ(zone.Alloc(order, PageKind::kAnon, 1, 0),
+              twin_zone.Alloc(order, PageKind::kAnon, 1, 0));
+  }
+  EXPECT_TRUE(zone.CheckFreeLists());
+  EXPECT_GT(m.materialized_blocks(), 0u);
+}
+
 TEST(ZoneTypeTest, Names) {
   EXPECT_STREQ(ZoneTypeName(ZoneType::kNormal), "Normal");
   EXPECT_STREQ(ZoneTypeName(ZoneType::kMovable), "Movable");

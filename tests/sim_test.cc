@@ -536,5 +536,28 @@ TEST(CpuAccountantTest, AccumulatesWithinWindow) {
   EXPECT_DOUBLE_EQ(cpu.UtilizationAt("t", 0), 20.0);
 }
 
+TEST(CpuAccountantTest, RepeatCountMatchesSeparateCharges) {
+  // Each of the N intervals starts a few ns before a window boundary and
+  // splits across it on its own; one interval of N * busy would not.
+  const TimeNs start = Sec(3) - 5;
+  const DurationNs busy = Usec(2);
+  const int64_t n = 7;
+  CpuAccountant separate(Sec(1));
+  CpuAccountant repeated(Sec(1));
+  for (int64_t i = 0; i < n; ++i) {
+    separate.AddBusy("t", start, busy);
+  }
+  repeated.AddBusy("t", start, busy, n);
+  EXPECT_EQ(repeated.Series("t"), separate.Series("t"));
+  EXPECT_EQ(repeated.TotalBusy("t"), separate.TotalBusy("t"));
+  EXPECT_EQ(repeated.TotalBusy("t"), busy * n);
+  for (const TimeNs t : {start, Sec(3), Sec(4)}) {
+    EXPECT_EQ(repeated.UtilizationAt("t", t), separate.UtilizationAt("t", t));
+  }
+  // 5 ns of each interval land before the boundary.
+  EXPECT_EQ(repeated.UtilizationAt("t", start),
+            100.0 * static_cast<double>(5 * n) / static_cast<double>(Sec(1)));
+}
+
 }  // namespace
 }  // namespace squeezy

@@ -127,6 +127,56 @@ void BM_PlugTouchUnplugBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_PlugTouchUnplugBlock);
 
+// A 64 MiB file faulted cold into a freshly plugged block: the first miss
+// materializes the block, then every page misses.  Plug, drop and unplug
+// are outside the timed region.
+void BM_TouchFileCold(benchmark::State& state) {
+  HostMemory host(GiB(64));
+  CostModel cost = CostModel::Default();
+  Hypervisor hv(&host, &cost);
+  GuestConfig cfg;
+  cfg.base_memory = MiB(512);
+  cfg.hotplug_region = GiB(1);
+  GuestKernel guest(cfg, &hv);
+  const int32_t file = guest.CreateFile("dep", MiB(64));
+  const Pid pid = guest.CreateProcess();
+  for (auto _ : state) {
+    state.PauseTiming();
+    guest.PlugMemory(kMemoryBlockBytes, 0);
+    state.ResumeTiming();
+    const TouchResult r = guest.TouchFile(pid, file, MiB(64), 0);
+    benchmark::DoNotOptimize(r.latency);
+    state.PauseTiming();
+    guest.DropFileCache(file, 0);
+    guest.UnplugMemory(kMemoryBlockBytes, 0);
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * MiB(64));
+}
+BENCHMARK(BM_TouchFileCold);
+
+// The stamping pass that turns an online, entirely free block summary into
+// per-page frames (the first Alloc from a block pays it).  Onlining and
+// the offline/teardown back to a summary are outside the timed region.
+void BM_MaterializeBlock(benchmark::State& state) {
+  MemMap memmap(kMemoryBlockBytes);
+  Zone zone(0, ZoneType::kMovable, "z", &memmap);
+  for (auto _ : state) {
+    state.PauseTiming();
+    memmap.InitBlock(0);
+    zone.AddFreeRange(0, kPagesPerBlock);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(&memmap.page(0));
+    state.PauseTiming();
+    zone.IsolateFreeRange(0, kPagesPerBlock);
+    zone.RetireRange(0, kPagesPerBlock);
+    memmap.TeardownBlock(0);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MaterializeBlock);
+
 void BM_IsolateUndo(benchmark::State& state) {
   MemMap memmap(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &memmap);

@@ -3,8 +3,62 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 namespace squeezy {
+namespace {
+
+// The page-cache misses of one file fault: the uncached page indices in
+// file order, and the frames the first `allocated` of them got.
+struct FileMisses {
+  std::vector<uint32_t> idx;
+  std::vector<Pfn> pfns;
+  uint64_t allocated = 0;
+};
+
+// Allocates a frame for each of file_id's uncached pages below `pages`, in
+// index order, and inserts it into the page cache: from `zone` while it
+// lasts, then from `fallback` (if any).  Each zone hands out its share as
+// one run, exactly the frames the per-page fault loop would pick; the
+// first miss that gets no frame ends the fault there.
+FileMisses FaultFileMisses(PageCache& cache, int32_t file_id, uint64_t pages, Zone* zone,
+                           Zone* fallback) {
+  FileMisses m;
+  for (uint64_t i = 0; i < pages; ++i) {
+    if (!cache.Cached(file_id, i)) {
+      m.idx.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  const uint64_t n = m.idx.size();
+  m.pfns.resize(n);
+  m.allocated =
+      zone->AllocPages(n, PageKind::kFile, file_id, m.idx.data(), m.pfns.data());
+  if (m.allocated < n && fallback != nullptr) {
+    m.allocated +=
+        fallback->AllocPages(n - m.allocated, PageKind::kFile, file_id,
+                             m.idx.data() + m.allocated, m.pfns.data() + m.allocated);
+  }
+  for (uint64_t i = 0; i < m.allocated; ++i) {
+    cache.Insert(file_id, m.idx[i], m.pfns[i]);
+  }
+  return m;
+}
+
+// Calls fn(first, count) for each maximal run of consecutive frames among
+// the allocated misses.
+template <typename Fn>
+void ForEachRun(const FileMisses& m, Fn&& fn) {
+  for (uint64_t i = 0; i < m.allocated;) {
+    uint64_t j = i + 1;
+    while (j < m.allocated && m.pfns[j] == m.pfns[j - 1] + 1) {
+      ++j;
+    }
+    fn(m.pfns[i], static_cast<uint32_t>(j - i));
+    i = j;
+  }
+}
+
+}  // namespace
 
 GuestKernel::GuestKernel(const GuestConfig& config, Hypervisor* hv, CpuAccountant* cpu)
     : config_(config), hv_(hv), cpu_(cpu), rng_(config.seed) {
@@ -127,14 +181,12 @@ void GuestKernel::OomKill(Pid pid) {
 
 // --- Fault paths -----------------------------------------------------------------
 
-void GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, TimeNs now,
-                                  HostBackingBatch* batch) {
+uint64_t GuestKernel::BackGranules(Pfn first, uint32_t pages, uint64_t* new_pages) {
   const uint32_t granule_pages = static_cast<uint32_t>(cost().host_thp_bytes / kPageSize);
   assert(granule_pages >= 1 && kPagesPerBlock % granule_pages == 0);
-  const Pfn first_granule = head / granule_pages;
-  const Pfn last_granule = (head + pages - 1) / granule_pages;
-  uint64_t extents = 0;
-  uint64_t new_pages = 0;
+  const Pfn first_granule = first / granule_pages;
+  const Pfn last_granule = (first + pages - 1) / granule_pages;
+  uint64_t granules = 0;
   for (Pfn g = first_granule; g <= last_granule; ++g) {
     Page* granule = &memmap_->page(g * granule_pages);  // Granules never span blocks.
     bool any_new = false;
@@ -143,22 +195,44 @@ void GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, TimeNs now,
         // Host THP backs the whole aligned granule on first touch.
         p->host_populated = true;
         any_new = true;
-        ++new_pages;
+        ++*new_pages;
       }
     }
     if (any_new) {
-      ++extents;
+      ++granules;
     }
   }
-  if (extents == 0) {
-    return;
-  }
+  return granules;
+}
+
+void GuestKernel::QueueFaults(HostBackingBatch* batch, uint64_t extents, uint64_t faults,
+                              uint64_t pages, TimeNs now) {
   if (batch->extents != extents) {
     BookHostBacking(batch, now);
   }
   batch->extents = extents;
-  ++batch->faults;
-  batch->pages += new_pages;
+  batch->faults += faults;
+  batch->pages += pages;
+}
+
+void GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, TimeNs now,
+                                  HostBackingBatch* batch) {
+  uint64_t new_pages = 0;
+  const uint64_t extents = BackGranules(head, pages, &new_pages);
+  if (extents > 0) {
+    QueueFaults(batch, extents, 1, new_pages, now);
+  }
+}
+
+void GuestKernel::MarkHostBackingPages(Pfn first, uint32_t pages, TimeNs now,
+                                       HostBackingBatch* batch) {
+  // Page by page, the first fault into a granule backs all of it (one
+  // exit) and the rest of the granule's faults find it backed.
+  uint64_t new_pages = 0;
+  const uint64_t faults = BackGranules(first, pages, &new_pages);
+  if (faults > 0) {
+    QueueFaults(batch, 1, faults, new_pages, now);
+  }
 }
 
 void GuestKernel::BookHostBacking(HostBackingBatch* batch, TimeNs now) {
@@ -179,6 +253,11 @@ void GuestKernel::FlushHostBacking(HostBackingBatch* batch, TimeNs now, TouchRes
 
 Zone* GuestKernel::AnonZoneFor(const Process& proc) {
   return proc.anon_zone() != nullptr ? proc.anon_zone() : movable_zone_;
+}
+
+Zone* GuestKernel::FileFallbackZone(const Process& proc) {
+  const bool confined = proc.anon_zone() != nullptr;
+  return confined || file_zone_ == normal_zone_ ? nullptr : normal_zone_;
 }
 
 TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
@@ -255,34 +334,32 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   const DurationNs miss_read =
       backing_x1000 < 0 ? cost().IoBytes(kPageSize)
                         : backing_x1000 * static_cast<DurationNs>(kPageSize) / 1000;
-  HostBackingBatch backing;
-  for (uint64_t idx = 0; idx < pages; ++idx) {
-    if (page_cache_.Cached(file_id, idx)) {
-      result.latency += cost().fault_page;
-      continue;
-    }
-    Zone* zone = file_zone_;
-    Pfn pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    if (pfn == kInvalidPfn && proc.anon_zone() == nullptr && zone != normal_zone_) {
-      zone = normal_zone_;
-      pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    }
-    if (pfn == kInvalidPfn) {
-      FlushHostBacking(&backing, now, &result);
-      OomKill(pid);
-      result.oom = true;
-      return result;
-    }
-    page_cache_.Insert(file_id, idx, pfn);
-    result.latency += cost().fault_folio_fixed + cost().fault_page + miss_read;
-    if (backing_x1000 < 0) {
-      page_cache_.CountDiskRead(file_id, kPageSize);
-    } else {
-      page_cache_.CountRemoteRead(file_id, kPageSize);
-    }
-    MarkHostBacking(pfn, 1, now, &backing);
+  const FileMisses misses =
+      FaultFileMisses(page_cache_, file_id, pages, file_zone_, FileFallbackZone(proc));
+  const uint64_t got = misses.allocated;
+  const bool oom = got < misses.idx.size();
+  // Hits remap; every page from the first miss left without a frame on is
+  // never reached (the OOM kill ends the fault there).
+  const uint64_t reached = oom ? misses.idx[got] : pages;
+  result.latency += cost().fault_page * static_cast<DurationNs>(reached - got) +
+                    (cost().fault_folio_fixed + cost().fault_page + miss_read) *
+                        static_cast<DurationNs>(got);
+  if (backing_x1000 < 0) {
+    page_cache_.CountDiskRead(file_id, PagesToBytes(got));
+  } else {
+    page_cache_.CountRemoteRead(file_id, PagesToBytes(got));
   }
+  HostBackingBatch backing;
+  ForEachRun(misses, [&](Pfn first, uint32_t n) {
+    MarkHostBackingPages(first, n, now, &backing);
+  });
+  // The faults taken are booked first: the OOM kill may unplug memory at `now`.
   FlushHostBacking(&backing, now, &result);
+  if (oom) {
+    OomKill(pid);
+    result.oom = true;
+    return result;
+  }
   result.bytes = PagesToBytes(pages);
   return result;
 }
@@ -305,24 +382,13 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   };
 
   // Recorded file pages: straight into the page cache, no backing read —
-  // the snapshot file carries their contents.
+  // the snapshot file carries their contents.  A partial restore leaves
+  // the rest to demand-fault as tail.
   const uint64_t pages = std::min(file_pages, page_cache_.FilePages(file_id));
-  for (uint64_t idx = 0; idx < pages; ++idx) {
-    if (page_cache_.Cached(file_id, idx)) {
-      continue;
-    }
-    Zone* zone = file_zone_;
-    Pfn pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    if (pfn == kInvalidPfn && proc.anon_zone() == nullptr && zone != normal_zone_) {
-      pfn = normal_zone_->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    }
-    if (pfn == kInvalidPfn) {
-      break;  // Partial restore; the rest demand-faults as tail.
-    }
-    page_cache_.Insert(file_id, idx, pfn);
-    mark_populated(pfn, 1);
-    out.file_bytes += kPageSize;
-  }
+  const FileMisses misses =
+      FaultFileMisses(page_cache_, file_id, pages, file_zone_, FileFallbackZone(proc));
+  ForEachRun(misses, mark_populated);
+  out.file_bytes = PagesToBytes(misses.allocated);
   page_cache_.CountRestored(file_id, out.file_bytes);
 
   // Recorded heap: committed to the process under the same placement rules
@@ -373,26 +439,22 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
 
 TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool populate_host) {
   TouchResult result;
-  const uint64_t pages = page_cache_.FilePages(file_id);
+  // A partial adoption leaves the remainder to fault in normally.
+  const FileMisses misses =
+      FaultFileMisses(page_cache_, file_id, page_cache_.FilePages(file_id), file_zone_,
+                      /*fallback=*/nullptr);
+  // Fault cost, no backing read.  Sibling sharing (populate_host ==
+  // false) adds no host frames — the host already backs the image for
+  // another VM; migration-landed bytes need frames of their own.
+  result.latency += (cost().fault_folio_fixed + cost().fault_page) *
+                    static_cast<DurationNs>(misses.allocated);
   HostBackingBatch backing;
-  for (uint64_t idx = 0; idx < pages; ++idx) {
-    if (page_cache_.Cached(file_id, idx)) {
-      continue;
-    }
-    const Pfn pfn = file_zone_->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    if (pfn == kInvalidPfn) {
-      break;  // Partial adoption; the remainder faults in normally.
-    }
-    page_cache_.Insert(file_id, idx, pfn);
-    // Fault cost, no backing read.  Sibling sharing (populate_host ==
-    // false) adds no host frames — the host already backs the image for
-    // another VM; migration-landed bytes need frames of their own.
-    result.latency += cost().fault_folio_fixed + cost().fault_page;
-    if (populate_host) {
-      MarkHostBacking(pfn, 1, now, &backing);
-    }
-    result.bytes += kPageSize;
+  if (populate_host) {
+    ForEachRun(misses, [&](Pfn first, uint32_t n) {
+      MarkHostBackingPages(first, n, now, &backing);
+    });
   }
+  result.bytes = PagesToBytes(misses.allocated);
   FlushHostBacking(&backing, now, &result);
   page_cache_.CountAdopted(file_id, result.bytes);
   return result;

@@ -209,14 +209,28 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
     uint64_t pages = 0;      // Pages the pending run backs.
     DurationNs booked = 0;   // Latency of the runs already booked.
   };
+  // Backs every host-THP granule of [first, first+pages) that has an
+  // unbacked frame; returns how many it backed and adds the newly backed
+  // frames to *new_pages.
+  uint64_t BackGranules(Pfn first, uint32_t pages, uint64_t* new_pages);
+  // Adds `faults` faults of `extents` exits each to `batch`.
+  void QueueFaults(HostBackingBatch* batch, uint64_t extents, uint64_t faults,
+                   uint64_t pages, TimeNs now);
   // Backs [head, head+pages) with host memory where missing (one exit per
   // host-THP granule) and adds the fault, if any, to `batch`.
   void MarkHostBacking(Pfn head, uint32_t pages, TimeNs now, HostBackingBatch* batch);
+  // The same for `pages` single-page faults at [first, first+pages), one
+  // after the other: a fault that finds its granule backed is free.
+  void MarkHostBackingPages(Pfn first, uint32_t pages, TimeNs now,
+                            HostBackingBatch* batch);
   // Books the batch's pending run with the hypervisor.
   void BookHostBacking(HostBackingBatch* batch, TimeNs now);
   // Books what is pending and charges the batch's whole nested latency to
   // a touch's nested and total latency.
   void FlushHostBacking(HostBackingBatch* batch, TimeNs now, TouchResult* result);
+  // Where `proc`'s file faults spill once the file zone is full: ZONE_NORMAL
+  // for a vanilla process, nowhere for a partition-confined one.
+  Zone* FileFallbackZone(const Process& proc);
   void OomKill(Pid pid);
 
   GuestConfig config_;

@@ -27,12 +27,14 @@
 // not materialize go through the const accessor, which synthesizes the
 // frame from the summary.  Every state transition and every frame read is
 // bit-identical to a flat per-page array (tests/flat_mm_oracle.h), apart
-// from where max-order links live — only RSS and time change.
+// from where free-list links live — only RSS and time change.
 //
 // Max-order link table.  The free-list links of max-order chunk heads live
 // in a side table indexed by pfn >> kMaxPageOrder (8 B per 4 MiB), not in
 // Page, so a kFree block's chunks sit on a zone free list in exactly the
-// order a per-page map would give them.  Sub-max-order links stay in Page.
+// order a per-page map would give them.  Sub-max-order links live in the
+// owner words of their (ownerless) free head Page, so a frame costs 12
+// bytes and a materialized block's chunk 384 KiB (page.h).
 //
 // Reference stability: `page()` references are invalidated by InitBlock
 // and TeardownBlock of that page's block (both free the chunk); a

@@ -1,16 +1,28 @@
 // Guest physical page model (the simulator's `struct page`).
 //
-// One Page exists per 4 KiB guest frame of the managed span.  Pages form
-// folios (compound pages): an order-N folio covers 2^N contiguous,
-// naturally aligned frames; only the head carries ownership metadata.
-// Free buddy chunks use the same head/tail scheme plus an intrusive
-// doubly-linked free list threaded through the heads.  Max-order chunk
-// heads keep their links in a MemMap side table instead (see memmap.h),
-// so a block whose chunks sit on a free list needs no Page at all.
+// One Page exists per 4 KiB guest frame of a materialized block (see
+// memmap.h).  Pages form folios (compound pages): an order-N folio covers
+// 2^N contiguous, naturally aligned frames; only the head carries
+// ownership metadata.  Free buddy chunks use the same head/tail scheme
+// plus an intrusive doubly-linked free list threaded through the heads.
+//
+// Layout (12 bytes):
+//   bytes 0-1   flags: state:3, kind:2, order:4, head:1, host_populated:1
+//   bytes 2-3   zone_id
+//   bytes 4-11  two 32-bit words
+// The two words are {owner, owner_slot} on every frame except a listed
+// free chunk head below kMaxPageOrder, where they are its free-list
+// {next, prev} (link()/set_link()).  Nothing is lost: a free head has no
+// owner (its owner words would read {kNoOwner, 0}, and unlinking it in
+// Zone::ListRemove writes exactly that back), and no frame but a listed
+// head has a link to keep.  Max-order chunk heads keep their links in a
+// MemMap side table instead, so a block whose chunks sit on a free list
+// needs no Page at all.
 #ifndef SQUEEZY_MM_PAGE_H_
 #define SQUEEZY_MM_PAGE_H_
 
 #include <cstdint>
+#include <type_traits>
 
 namespace squeezy {
 
@@ -43,17 +55,36 @@ struct FreeLink {
 };
 
 struct Page {
-  PageState state = PageState::kHole;
-  PageKind kind = PageKind::kNone;
-  uint8_t order = 0;           // Folio/chunk order; valid on heads.
-  bool head = false;           // True for folio/chunk head frames.
-  bool host_populated = false; // Host (EPT) backing exists for this frame.
-  int16_t zone_id = -1;        // Owning zone, -1 while offline/hole.
-  int32_t owner = kNoOwner;    // Anon: pid.  File: file id.  (heads only)
-  uint32_t owner_slot = 0;     // Anon: index in the owner's folio table.
-                               // File: page index within the file.
-  FreeLink link;                // Free-list linkage (listed sub-max-order heads only).
+  // Bit-fields take no default member initializers in C++17.
+  Page()
+      : state(PageState::kHole), kind(PageKind::kNone), order(0), head(false),
+        host_populated(false) {}
+
+  PageState state : 3;
+  PageKind kind : 2;
+  uint8_t order : 4;          // Folio/chunk order; valid on heads.
+  bool head : 1;              // True for folio/chunk head frames.
+  bool host_populated : 1;    // Host (EPT) backing exists for this frame.
+  int16_t zone_id = -1;       // Owning zone, -1 while offline/hole.
+  int32_t owner = kNoOwner;   // Anon: pid.  File: file id.  (heads only)
+  uint32_t owner_slot = 0;    // Anon: index in the owner's folio table.
+                              // File: page index within the file.
+
+  // Free-list linkage of a listed sub-max-order chunk head, held in the
+  // owner words (see above).
+  FreeLink link() const { return FreeLink{static_cast<Pfn>(owner), owner_slot}; }
+  void set_link(const FreeLink& l) {
+    owner = static_cast<int32_t>(l.next);
+    owner_slot = l.prev;
+  }
+  // Restores the owner words of a head leaving its free list.
+  void clear_link() {
+    owner = kNoOwner;
+    owner_slot = 0;
+  }
 };
+static_assert(sizeof(Page) <= 12, "Page must stay 12 bytes per 4 KiB frame");
+static_assert(std::is_trivially_copyable_v<Page>, "chunks are stamped by copy");
 
 struct FolioRef {
   Pfn head = kInvalidPfn;

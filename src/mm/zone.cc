@@ -47,21 +47,35 @@ Zone::Zone(int16_t id, ZoneType type, std::string name, MemMap* memmap, Rng* shu
   assert(memmap_ != nullptr);
 }
 
-FreeLink& Zone::Link(uint8_t order, Pfn pfn) {
-  return order == kMaxPageOrder ? memmap_->max_link(pfn) : memmap_->page(pfn).link;
+FreeLink Zone::LinkAt(uint8_t order, Pfn pfn) const {
+  return order == kMaxPageOrder ? map().max_link(pfn) : map().page(pfn).link();
 }
 
-FreeLink Zone::LinkAt(uint8_t order, Pfn pfn) const {
-  return order == kMaxPageOrder ? map().max_link(pfn) : map().page(pfn).link;
+void Zone::SetLink(uint8_t order, Pfn pfn, const FreeLink& link) {
+  if (order == kMaxPageOrder) {
+    memmap_->max_link(pfn) = link;
+  } else {
+    memmap_->page(pfn).set_link(link);
+  }
+}
+
+void Zone::SetNext(uint8_t order, Pfn pfn, Pfn next) {
+  FreeLink link = LinkAt(order, pfn);
+  link.next = next;
+  SetLink(order, pfn, link);
+}
+
+void Zone::SetPrev(uint8_t order, Pfn pfn, Pfn prev) {
+  FreeLink link = LinkAt(order, pfn);
+  link.prev = prev;
+  SetLink(order, pfn, link);
 }
 
 void Zone::ListPushFront(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  FreeLink& link = Link(order, pfn);
-  link.prev = kInvalidPfn;
-  link.next = area.head;
+  SetLink(order, pfn, FreeLink{area.head, kInvalidPfn});
   if (area.head != kInvalidPfn) {
-    Link(order, area.head).prev = pfn;
+    SetPrev(order, area.head, pfn);
   } else {
     area.tail = pfn;
   }
@@ -71,11 +85,9 @@ void Zone::ListPushFront(uint8_t order, Pfn pfn) {
 
 void Zone::ListPushBack(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  FreeLink& link = Link(order, pfn);
-  link.next = kInvalidPfn;
-  link.prev = area.tail;
+  SetLink(order, pfn, FreeLink{kInvalidPfn, area.tail});
   if (area.tail != kInvalidPfn) {
-    Link(order, area.tail).next = pfn;
+    SetNext(order, area.tail, pfn);
   } else {
     area.head = pfn;
   }
@@ -85,20 +97,25 @@ void Zone::ListPushBack(uint8_t order, Pfn pfn) {
 
 void Zone::ListRemove(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  FreeLink& link = Link(order, pfn);
+  const FreeLink link = LinkAt(order, pfn);
   if (link.prev != kInvalidPfn) {
-    Link(order, link.prev).next = link.next;
+    SetNext(order, link.prev, link.next);
   } else {
     assert(area.head == pfn);
     area.head = link.next;
   }
   if (link.next != kInvalidPfn) {
-    Link(order, link.next).prev = link.prev;
+    SetPrev(order, link.next, link.prev);
   } else {
     assert(area.tail == pfn);
     area.tail = link.prev;
   }
-  link = FreeLink{};
+  // An unlisted head's words hold its (empty) owner again.
+  if (order == kMaxPageOrder) {
+    memmap_->max_link(pfn) = FreeLink{};
+  } else {
+    memmap_->page(pfn).clear_link();
+  }
   assert(area.nr_free > 0);
   --area.nr_free;
 }
@@ -251,12 +268,61 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
     p.order = order;
     p.owner = (i == 0) ? owner : kNoOwner;
     p.owner_slot = (i == 0) ? owner_slot : 0;
-    p.link = FreeLink{};
   }
   assert(free_pages_ >= n);
   free_pages_ -= n;
   memmap_->AdjustBlockAllocated(chunk, n);
   return chunk;
+}
+
+uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32_t* slots,
+                          Pfn* out) {
+  // n Alloc(0) calls pop the smallest non-empty order's front chunk and
+  // then, splitting it, hand out its frames in ascending order while every
+  // lower order holds exactly one of its pieces.  So take a popped chunk
+  // whole, or its first `take` frames and queue the untaken tail as those
+  // pieces would end up: one aligned piece per set bit of the tail length,
+  // smallest first, each on a list that was empty (every order below the
+  // popped one was).  After a whole chunk the lower orders are still
+  // empty, so the search resumes at the same order.
+  uint64_t done = 0;
+  uint8_t from = 0;
+  while (done < n) {
+    while (from <= kMaxPageOrder && areas_[from].nr_free == 0) {
+      ++from;
+    }
+    if (from > kMaxPageOrder) {
+      break;
+    }
+    const Pfn chunk = ListPopFront(from);
+    const uint32_t size = 1u << from;
+    const uint32_t take = static_cast<uint32_t>(std::min<uint64_t>(n - done, size));
+    Page* pages = &memmap_->page(chunk);  // Chunks never span blocks.
+    for (uint32_t i = 0; i < take; ++i) {
+      Page& p = pages[i];
+      p.state = PageState::kAllocated;
+      p.kind = kind;
+      p.head = true;
+      p.order = 0;
+      p.owner = owner;
+      p.owner_slot = slots[done + i];
+      out[done + i] = chunk + i;
+    }
+    const uint32_t tail = size - take;
+    Pfn piece = chunk + take;
+    for (uint8_t order = 0; order < from; ++order) {
+      if ((tail >> order) & 1u) {
+        StampFreeChunk(piece, order);
+        ListPushFront(order, piece);
+        piece += 1u << order;
+      }
+    }
+    assert(free_pages_ >= take);
+    free_pages_ -= take;
+    memmap_->AdjustBlockAllocated(chunk, take);
+    done += take;
+  }
+  return done;
 }
 
 void Zone::Free(Pfn head) {

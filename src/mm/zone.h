@@ -4,8 +4,14 @@
 // onlined into ZONE_MOVABLE (or, under Squeezy, into a per-partition
 // zone); the buddy allocator serves folios of order 0..kMaxPageOrder from
 // intrusive per-order free lists.  Sub-max-order lists thread through the
-// memmap's Page heads; the max-order list threads through the MemMap's
-// link side table, so whole blocks can sit on it as summaries (memmap.h).
+// owner words of the memmap's free Page heads (page.h); the max-order list
+// threads through the MemMap's link side table, so whole blocks can sit on
+// it as summaries (memmap.h).
+//
+// Run allocation.  AllocPages hands out n order-0 pages in one call with
+// exactly the picks, frame states, free-list order and counters of n
+// Alloc(0) calls: it consumes whole chunks and splits at most one, instead
+// of splitting a chunk down order by order for every page.
 //
 // The offline path uses the isolation primitives: free pages in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
@@ -82,6 +88,13 @@ class Zone {
   // zone cannot satisfy the request.
   Pfn Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot);
 
+  // Allocates n order-0 pages, page i owned by (owner, slots[i]), and
+  // writes their pfns to out[0..n).  Returns how many it allocated, fewer
+  // than n only when the zone ran out.  Equivalent, frame for frame and
+  // list for list, to n Alloc(0, kind, owner, slots[i]) calls.
+  uint64_t AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32_t* slots,
+                      Pfn* out);
+
   // Frees an allocated folio (by head pfn), coalescing with buddies.
   void Free(Pfn head);
 
@@ -117,8 +130,10 @@ class Zone {
   };
 
   // The free-list links of a listed chunk head of `order`.
-  FreeLink& Link(uint8_t order, Pfn pfn);
   FreeLink LinkAt(uint8_t order, Pfn pfn) const;
+  void SetLink(uint8_t order, Pfn pfn, const FreeLink& link);
+  void SetNext(uint8_t order, Pfn pfn, Pfn next);
+  void SetPrev(uint8_t order, Pfn pfn, Pfn prev);
   const MemMap& map() const { return *memmap_; }
 
   void ListPushFront(uint8_t order, Pfn pfn);

@@ -1,8 +1,10 @@
 // Test-only oracle: the per-page guest memory map and buddy zone as they
-// were before block summaries — one Page per 4 KiB frame, every free-list
-// link (max order included) threaded through Page, every range operation
-// a walk over frames.  mm_summary_oracle_test.cc fuzzes the production
-// MemMap + Zone against it op for op; nothing outside tests/ uses it.
+// were before block summaries and the 12-byte Page — one 24-byte FlatPage
+// per 4 KiB frame with every field in its own word, every free-list link
+// (max order included) threaded through it, every range operation a walk
+// over frames, and one page per Alloc call.  mm_summary_oracle_test.cc
+// fuzzes the production MemMap + Zone against it op for op; nothing
+// outside tests/ uses it.
 #ifndef SQUEEZY_TESTS_FLAT_MM_ORACLE_H_
 #define SQUEEZY_TESTS_FLAT_MM_ORACLE_H_
 
@@ -20,6 +22,20 @@
 namespace squeezy {
 namespace oracle {
 
+// The frame with nothing aliased (production Page keeps sub-max-order
+// links in its owner words instead, page.h).
+struct FlatPage {
+  PageState state = PageState::kHole;
+  PageKind kind = PageKind::kNone;
+  uint8_t order = 0;
+  bool head = false;
+  bool host_populated = false;
+  int16_t zone_id = -1;
+  int32_t owner = kNoOwner;
+  uint32_t owner_slot = 0;
+  FreeLink link;
+};
+
 class FlatMemMap {
  public:
   explicit FlatMemMap(uint64_t span_bytes)
@@ -27,13 +43,13 @@ class FlatMemMap {
         allocated_per_block_(BytesToBlocks(span_bytes), 0) {}
 
   uint64_t span_pages() const { return pages_.size(); }
-  Page& page(Pfn pfn) { return pages_[pfn]; }
-  const Page& page(Pfn pfn) const { return pages_[pfn]; }
+  FlatPage& page(Pfn pfn) { return pages_[pfn]; }
+  const FlatPage& page(Pfn pfn) const { return pages_[pfn]; }
 
   void InitBlock(uint32_t b) {
     for (Pfn pfn = b * kPagesPerBlock; pfn < (b + 1) * kPagesPerBlock; ++pfn) {
       assert(pages_[pfn].state == PageState::kHole);
-      pages_[pfn] = Page{};
+      pages_[pfn] = FlatPage{};
       pages_[pfn].state = PageState::kOffline;
     }
   }
@@ -44,7 +60,7 @@ class FlatMemMap {
     for (Pfn pfn = b * kPagesPerBlock; pfn < (b + 1) * kPagesPerBlock; ++pfn) {
       assert(pages_[pfn].state == PageState::kOffline);
       cleared += pages_[pfn].host_populated ? 1 : 0;
-      pages_[pfn] = Page{};
+      pages_[pfn] = FlatPage{};
     }
     return cleared;
   }
@@ -56,7 +72,7 @@ class FlatMemMap {
   }
 
  private:
-  std::vector<Page> pages_;
+  std::vector<FlatPage> pages_;
   std::vector<uint32_t> allocated_per_block_;
 };
 
@@ -113,7 +129,7 @@ class FlatZone {
     }
     const uint32_t n = 1u << order;
     for (uint32_t i = 0; i < n; ++i) {
-      Page& p = memmap_->page(chunk + i);
+      FlatPage& p = memmap_->page(chunk + i);
       p.state = PageState::kAllocated;
       p.kind = kind;
       p.head = (i == 0);
@@ -138,7 +154,7 @@ class FlatZone {
     const uint32_t n = 1u << memmap_->page(head).order;
     memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(n));
     for (uint32_t i = 0; i < n; ++i) {
-      Page& q = memmap_->page(head + i);
+      FlatPage& q = memmap_->page(head + i);
       q.state = PageState::kIsolated;
       q.kind = PageKind::kNone;
       q.head = false;
@@ -152,12 +168,12 @@ class FlatZone {
     uint64_t isolated = 0;
     Pfn pfn = start;
     while (pfn < start + npages) {
-      const Page& p = memmap_->page(pfn);
+      const FlatPage& p = memmap_->page(pfn);
       if (p.state == PageState::kFree && p.head) {
         const uint32_t n = 1u << p.order;
         ListRemove(p.order, pfn);
         for (uint32_t i = 0; i < n; ++i) {
-          Page& q = memmap_->page(pfn + i);
+          FlatPage& q = memmap_->page(pfn + i);
           q.state = PageState::kIsolated;
           q.head = false;
           q.order = 0;
@@ -197,7 +213,7 @@ class FlatZone {
 
   void RetireRange(Pfn start, uint64_t npages) {
     for (Pfn pfn = start; pfn < start + npages; ++pfn) {
-      Page& p = memmap_->page(pfn);
+      FlatPage& p = memmap_->page(pfn);
       assert(p.state == PageState::kIsolated && p.zone_id == id_);
       p.state = PageState::kOffline;
       p.zone_id = -1;
@@ -281,7 +297,7 @@ class FlatZone {
 
   void StampFreeChunk(Pfn pfn, uint8_t order) {
     for (uint32_t i = 0; i < (1u << order); ++i) {
-      Page& p = memmap_->page(pfn + i);
+      FlatPage& p = memmap_->page(pfn + i);
       p.state = PageState::kFree;
       p.kind = PageKind::kNone;
       p.head = (i == 0);
@@ -295,7 +311,7 @@ class FlatZone {
   void FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
     while (order < kMaxPageOrder) {
       const Pfn buddy = pfn ^ (1u << order);
-      const Page& bp = memmap_->page(buddy);
+      const FlatPage& bp = memmap_->page(buddy);
       if (bp.state != PageState::kFree || !bp.head || bp.order != order || bp.zone_id != id_) {
         break;
       }

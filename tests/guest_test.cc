@@ -2,7 +2,9 @@
 // fork/exit, OOM, vanilla hot(un)plug policy.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <ostream>
 #include <set>
 
 #include "src/guest/guest_kernel.h"
@@ -224,6 +226,193 @@ TEST_F(GuestTest, HostPopulationGrowsWithTouches) {
   guest_->Exit(pid);
   guest_->UnplugMemory(MiB(256), 0);
   EXPECT_EQ(host_->populated(), before);
+}
+
+// --- File faults, one run per zone ----------------------------------------------
+//
+// The values below were recorded from the per-page fault loops (one
+// Zone::Alloc per missing page) that the run allocation replaced; the
+// scenarios fault across split chunks, fragmented free lists, cached
+// pages on both sides of the point where the zone runs out, and (for
+// TouchFile) 2 MiB host granules that straddle the runs.
+
+// What a file's page-cache mapping holds: the number of cached pages and
+// two position-weighted sums of their pfns.
+struct CacheDigest {
+  uint64_t cached = 0;
+  uint64_t pfn_sum = 0;
+  uint64_t weighted = 0;
+
+  bool operator==(const CacheDigest& o) const {
+    return cached == o.cached && pfn_sum == o.pfn_sum && weighted == o.weighted;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const CacheDigest& d) {
+  return os << "{" << d.cached << ", " << d.pfn_sum << ", " << d.weighted << "}";
+}
+
+CacheDigest Digest(const PageCache& cache, int32_t file) {
+  CacheDigest d;
+  for (uint64_t idx = 0; idx < cache.FilePages(file); ++idx) {
+    if (cache.Cached(file, idx)) {
+      ++d.cached;
+      d.pfn_sum += cache.Lookup(file, idx);
+      d.weighted += (idx + 1) * cache.Lookup(file, idx);
+    }
+  }
+  return d;
+}
+
+using Counters = std::array<uint64_t, kMaxPageOrder + 3>;
+
+// free_pages, allocated_pages, then the free chunks of every order.
+Counters ZoneCounters(const Zone& z) {
+  Counters c{};
+  c[0] = z.free_pages();
+  c[1] = z.allocated_pages();
+  for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
+    c[2 + order] = z.free_chunks(order);
+  }
+  return c;
+}
+
+// The host's books of the VM: nested faults, exits, populated bytes.
+std::array<uint64_t, 3> HostBooks(const Hypervisor& hv, VmId vm) {
+  const VmStats& st = hv.stats(vm);
+  return {st.nested_faults, st.exits, st.populated_bytes};
+}
+
+// Recorded from the per-page fault loops.
+constexpr DurationNs kTouchOomLatency = 259940012;
+constexpr DurationNs kTouchOomNested = 112000;
+constexpr CacheDigest kTouchOomCache{31217, 4624454973, 74825290376402};
+constexpr uint64_t kTouchOomDiskRead = 126869504;
+constexpr Counters kTouchOomMovable{0, 32768};
+constexpr std::array<uint64_t, 3> kTouchOomHost{24640, 24640, 234881024};
+
+constexpr uint64_t kAdoptBytes = 127205376;
+constexpr DurationNs kAdoptLatency = 102535200;
+constexpr DurationNs kAdoptNested = 57504000;
+constexpr CacheDigest kAdoptCache{31217, 4624454973, 74759965490705};
+constexpr Counters kAdoptMovable{0, 32768};
+constexpr std::array<uint64_t, 3> kAdoptHost{57233, 57233, 234426368};
+
+constexpr uint64_t kRestoreFileBytes = 143941632;
+constexpr DurationNs kRestoreNested = 2000;
+constexpr CacheDigest kRestoreCache{35306, 5152046376, 92315137557339};
+constexpr Counters kRestoreMovable{0, 32768};
+constexpr Counters kRestoreNormal{0, 131072};
+constexpr std::array<uint64_t, 3> kRestoreHost{130848, 130848, 670453760};
+
+// Caches pages [first, first + n) of `file` (every `step`th one) in frames
+// allocated straight from `zone`, as an earlier reader would have left them.
+void CacheFilePages(GuestKernel& guest, Zone& zone, int32_t file, uint32_t first,
+                    uint32_t n, uint32_t step = 1) {
+  for (uint32_t idx = first; idx < first + n; idx += step) {
+    const Pfn pfn = zone.Alloc(0, PageKind::kFile, file, idx);
+    ASSERT_NE(pfn, kInvalidPfn);
+    guest.page_cache().Insert(file, idx, pfn);
+  }
+}
+
+// Leaves the movable zone's free lists fragmented: two anon processes
+// interleave their faults, then the first exits.
+void FragmentMovable(GuestKernel& guest) {
+  const Pid a = guest.CreateProcess();
+  const Pid b = guest.CreateProcess();
+  for (int i = 0; i < 3; ++i) {
+    guest.TouchAnon(a, MiB(3) + 3 * kPageSize, 0);
+    guest.TouchAnon(b, MiB(2) + 5 * kPageSize, 0);
+  }
+  guest.Exit(a);
+}
+
+TEST_F(GuestTest, TouchFileOomMidFileMatchesPerPageFaults) {
+  cost_.host_thp_bytes = MiB(2);
+  ASSERT_TRUE(guest_->PlugMemory(kMemoryBlockBytes, 0).complete);
+  Zone& movable = guest_->movable_zone();
+  FragmentMovable(*guest_);
+  const int32_t file = guest_->CreateFile("deps", MiB(160));
+  // Cached before the OOM point: the file's head and every 7th page of a
+  // stretch; cached after it: a later stretch.
+  const Pid reader = guest_->CreateProcess();
+  ASSERT_FALSE(guest_->TouchFile(reader, file, 100 * kPageSize, 0).oom);
+  CacheFilePages(*guest_, movable, file, 1000, 1000, 7);
+  CacheFilePages(*guest_, movable, file, 40000, 100);
+  const Pfn late = guest_->page_cache().Lookup(file, 40000);
+  const auto normal_before = ZoneCounters(guest_->normal_zone());
+
+  // Confined to its partition: no ZONE_NORMAL spill, so the zone running
+  // out mid-file is an OOM kill.
+  const Pid pid = guest_->CreateProcess();
+  guest_->process(pid).set_anon_zone(&movable);
+  const TouchResult r = guest_->TouchFile(pid, file, MiB(160), Msec(3));
+  EXPECT_TRUE(r.oom);
+  EXPECT_EQ(r.bytes, 0u);
+  EXPECT_EQ(r.latency, kTouchOomLatency);
+  EXPECT_EQ(r.nested, kTouchOomNested);
+  EXPECT_EQ(guest_->process(pid).state(), ProcessState::kOomKilled);
+  EXPECT_EQ(Digest(guest_->page_cache(), file), kTouchOomCache);
+  EXPECT_EQ(guest_->page_cache().Lookup(file, 40000), late);
+  EXPECT_EQ(guest_->page_cache().disk_read_bytes(file), kTouchOomDiskRead);
+  EXPECT_EQ(ZoneCounters(movable), kTouchOomMovable);
+  EXPECT_EQ(ZoneCounters(guest_->normal_zone()), normal_before);
+  EXPECT_EQ(HostBooks(*hv_, guest_->vm_id()), kTouchOomHost);
+  EXPECT_TRUE(movable.CheckFreeLists());
+}
+
+TEST_F(GuestTest, PartialAdoptFileCacheMatchesPerPageFaults) {
+  ASSERT_TRUE(guest_->PlugMemory(kMemoryBlockBytes, 0).complete);
+  Zone& movable = guest_->movable_zone();
+  FragmentMovable(*guest_);
+  const int32_t file = guest_->CreateFile("image", MiB(160));
+  const Pid reader = guest_->CreateProcess();
+  ASSERT_FALSE(guest_->TouchFile(reader, file, 50 * kPageSize, 0).oom);
+  CacheFilePages(*guest_, movable, file, 5000, 100);
+  CacheFilePages(*guest_, movable, file, 36000, 11);
+  const auto normal_before = ZoneCounters(guest_->normal_zone());
+
+  // Adoption never spills out of the file zone: it stops where it fills.
+  const TouchResult r = guest_->AdoptFileCache(file, Msec(3), /*populate_host=*/true);
+  EXPECT_FALSE(r.oom);
+  EXPECT_EQ(r.bytes, kAdoptBytes);
+  EXPECT_EQ(r.latency, kAdoptLatency);
+  EXPECT_EQ(r.nested, kAdoptNested);
+  EXPECT_EQ(guest_->page_cache().adopted_bytes(file), kAdoptBytes);
+  EXPECT_EQ(Digest(guest_->page_cache(), file), kAdoptCache);
+  EXPECT_EQ(ZoneCounters(movable), kAdoptMovable);
+  EXPECT_EQ(ZoneCounters(guest_->normal_zone()), normal_before);
+  EXPECT_EQ(HostBooks(*hv_, guest_->vm_id()), kAdoptHost);
+  EXPECT_TRUE(movable.CheckFreeLists());
+}
+
+TEST_F(GuestTest, PartialRestoreWorkingSetMatchesPerPageFaults) {
+  // A hog fills most of ZONE_NORMAL before any memory is plugged.
+  const Pid hog = guest_->CreateProcess();
+  ASSERT_FALSE(guest_->TouchAnon(hog, MiB(400) + 7 * kPageSize, 0).oom);
+  ASSERT_TRUE(guest_->PlugMemory(kMemoryBlockBytes, 0).complete);
+  Zone& movable = guest_->movable_zone();
+  FragmentMovable(*guest_);
+  const int32_t file = guest_->CreateFile("snap", MiB(160));
+  CacheFilePages(*guest_, movable, file, 0, 64);
+  CacheFilePages(*guest_, movable, file, 39000, 100);
+
+  // A vanilla process spills the misses into ZONE_NORMAL once the file
+  // zone is full; the restore stops when that fills too.
+  const Pid pid = guest_->CreateProcess();
+  const RestoreOutcome out = guest_->RestoreWorkingSet(pid, file, 39500, 0, Msec(3));
+  EXPECT_FALSE(out.oom);
+  EXPECT_EQ(out.file_bytes, kRestoreFileBytes);
+  EXPECT_EQ(out.anon_bytes, 0u);
+  EXPECT_EQ(out.nested, kRestoreNested);
+  EXPECT_EQ(guest_->page_cache().restored_bytes(file), kRestoreFileBytes);
+  EXPECT_EQ(Digest(guest_->page_cache(), file), kRestoreCache);
+  EXPECT_EQ(ZoneCounters(movable), kRestoreMovable);
+  EXPECT_EQ(ZoneCounters(guest_->normal_zone()), kRestoreNormal);
+  EXPECT_EQ(HostBooks(*hv_, guest_->vm_id()), kRestoreHost);
+  EXPECT_TRUE(movable.CheckFreeLists());
+  EXPECT_TRUE(guest_->normal_zone().CheckFreeLists());
 }
 
 // --- Block summaries ------------------------------------------------------------

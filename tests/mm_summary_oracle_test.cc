@@ -1,10 +1,12 @@
-// Oracle fuzz for the block-summary MemMap: the production MemMap + Zone
-// and the per-page oracle (flat_mm_oracle.h) run the same random sequence
-// of plug / online (shuffled and unshuffled zones) / Alloc at orders 0, 9
-// and 10 / Free / isolate / UndoIsolation / FreeIntoIsolation / retire /
-// hot-remove / ShuffleFreeLists operations.  Every returned pfn and count,
-// every zone counter and every frame (state, ownership, host flag and
-// free-list links, read without materializing) must agree.
+// Oracle fuzz for the block-summary MemMap and the 12-byte Page: the
+// production MemMap + Zone and the per-page oracle (flat_mm_oracle.h) run
+// the same random sequence of plug / online (shuffled and unshuffled
+// zones) / Alloc at orders 0, 9 and 10 / AllocPages runs (against one
+// oracle Alloc(0) per page) / Free / isolate / UndoIsolation /
+// FreeIntoIsolation / retire / hot-remove / ShuffleFreeLists operations.
+// Every returned pfn and count, every zone counter and every frame (state,
+// ownership, host flag and free-list links, read without materializing)
+// must agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,21 +39,33 @@ bool SameLink(const FreeLink& a, const FreeLink& b) {
 }
 
 // Compares every frame of block b; the production side through const reads.
+// A listed sub-max-order head keeps its links in its owner words, so there
+// the links are compared (and the oracle's owner words must be empty);
+// every other frame compares its owner words (and the oracle's link must
+// be empty unless the max-order side table holds it).
 void ExpectSameBlock(const MemMap& m, const oracle::FlatMemMap& o, BlockIndex b, int step) {
   const Pfn start = MemMap::BlockStart(b);
   for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
     const Page got = m.page(pfn);
-    const Page& want = o.page(pfn);
-    const bool max_head =
-        want.state == PageState::kFree && want.head && want.order == kMaxPageOrder;
+    const oracle::FlatPage& want = o.page(pfn);
+    const bool listed = want.state == PageState::kFree && want.head;
+    const bool max_head = listed && want.order == kMaxPageOrder;
     ASSERT_TRUE(got.state == want.state && got.kind == want.kind && got.order == want.order &&
                 got.head == want.head && got.host_populated == want.host_populated &&
-                got.zone_id == want.zone_id && got.owner == want.owner &&
-                got.owner_slot == want.owner_slot)
+                got.zone_id == want.zone_id)
         << "frame " << pfn << " differs at step " << step;
-    // Max-order heads keep their links in the side table, everyone else in Page.
-    ASSERT_TRUE(SameLink(got.link, max_head ? FreeLink{} : want.link))
-        << "page link of " << pfn << " differs at step " << step;
+    if (listed && !max_head) {
+      ASSERT_TRUE(SameLink(got.link(), want.link))
+          << "page link of " << pfn << " differs at step " << step;
+      ASSERT_TRUE(want.owner == kNoOwner && want.owner_slot == 0)
+          << "listed head " << pfn << " has an owner at step " << step;
+    } else {
+      ASSERT_TRUE(got.owner == want.owner && got.owner_slot == want.owner_slot)
+          << "owner of " << pfn << " differs at step " << step;
+      ASSERT_TRUE(max_head || SameLink(want.link, FreeLink{}))
+          << "unlisted frame " << pfn << " has a link at step " << step;
+    }
+    // Max-order heads keep their links in the side table.
     if ((pfn & ((1u << kMaxPageOrder) - 1)) == 0) {
       ASSERT_TRUE(SameLink(m.max_link(pfn), max_head ? want.link : FreeLink{}))
           << "max-order link of " << pfn << " differs at step " << step;
@@ -114,7 +128,7 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
   };
 
   for (int step = 0; step < kSteps; ++step) {
-    switch (rng.UniformInt(0, 10)) {
+    switch (rng.UniformInt(0, 11)) {
       case 0: {  // Plug.
         const int64_t b = pick_block(Model::kAbsent);
         if (b >= 0) {
@@ -242,6 +256,48 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         const Page& after = m.page(pfn);
         ASSERT_TRUE(before.state == after.state && before.zone_id == after.zone_id &&
                     before.head == after.head && before.order == after.order);
+        break;
+      }
+      case 11: {  // A run of order-0 pages against one oracle Alloc(0) per page.
+        const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        const int64_t shape = rng.UniformInt(0, 7);
+        uint64_t n = 0;
+        if (shape < 4) {  // Inside or across split chunks.
+          n = static_cast<uint64_t>(rng.UniformInt(1, 700));
+        } else if (shape < 7) {  // Whole max-order chunks, maybe a split one after.
+          const int64_t chunks = rng.UniformInt(1, 3);
+          const bool split_after = rng.Chance(0.5);
+          const int64_t extra = split_after ? rng.UniformInt(1, 5) : 0;
+          n = (uint64_t{1} << kMaxPageOrder) * static_cast<uint64_t>(chunks) +
+              static_cast<uint64_t>(extra);
+        } else {  // Past the zone's last free page.
+          n = zones[z]->free_pages() + static_cast<uint64_t>(rng.UniformInt(1, 3));
+        }
+        std::vector<uint32_t> slots(n);
+        for (uint64_t i = 0; i < n; ++i) {
+          slots[i] = static_cast<uint32_t>(step) * 1000003u + static_cast<uint32_t>(i);
+        }
+        std::vector<Pfn> got(n, kInvalidPfn);
+        const uint64_t allocated =
+            zones[z]->AllocPages(n, PageKind::kFile, 9, slots.data(), got.data());
+        uint64_t want_allocated = 0;
+        for (uint64_t i = 0; i < n; ++i) {
+          const Pfn want = ozones[z]->Alloc(0, PageKind::kFile, 9, slots[i]);
+          if (want == kInvalidPfn) {
+            break;
+          }
+          ASSERT_EQ(got[i], want) << "page " << i << " of " << n << " step " << step;
+          live.push_back({want, 0, z});
+          ++want_allocated;
+        }
+        ASSERT_EQ(allocated, want_allocated) << "run of " << n << " step " << step;
+        if (rng.Chance(0.5)) {  // Give the run back page by page, coalescing as it goes.
+          for (uint64_t i = 0; i < allocated; ++i) {
+            zones[z]->Free(live.back().head);
+            ozones[z]->Free(live.back().head);
+            live.pop_back();
+          }
+        }
         break;
       }
     }

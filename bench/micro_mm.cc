@@ -177,6 +177,8 @@ void BM_MaterializeBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_MaterializeBlock);
 
+// An aborted offline of an empty block: isolation summarizes it, and the
+// re-free materializes it again.
 void BM_IsolateUndo(benchmark::State& state) {
   MemMap memmap(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &memmap);
@@ -189,6 +191,23 @@ void BM_IsolateUndo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IsolateUndo);
+
+// The abort the hotplug path takes: one allocated page keeps the block per
+// page, so isolation and the re-free walk its frames.
+void BM_IsolateUndoUsedBlock(benchmark::State& state) {
+  MemMap memmap(GiB(1));
+  Zone zone(0, ZoneType::kMovable, "z", &memmap);
+  memmap.InitBlock(0);
+  zone.AddFreeRange(0, kPagesPerBlock);
+  const Pfn used = zone.Alloc(0, PageKind::kAnon, 1, 0);
+  benchmark::DoNotOptimize(used);
+  for (auto _ : state) {
+    zone.IsolateFreeRange(0, kPagesPerBlock);
+    zone.UndoIsolation(0, kPagesPerBlock);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IsolateUndoUsedBlock);
 
 void BM_MigrateBlock(benchmark::State& state) {
   for (auto _ : state) {

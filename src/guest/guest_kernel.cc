@@ -184,23 +184,20 @@ void GuestKernel::OomKill(Pid pid) {
 uint64_t GuestKernel::BackGranules(Pfn first, uint32_t pages, uint64_t* new_pages) {
   const uint32_t granule_pages = static_cast<uint32_t>(cost().host_thp_bytes / kPageSize);
   assert(granule_pages >= 1 && kPagesPerBlock % granule_pages == 0);
+  if (granule_pages == 1) {
+    // Every newly backed page is its own granule.
+    const uint64_t fresh = memmap_->PopulateRange(first, pages);
+    *new_pages += fresh;
+    return fresh;
+  }
   const Pfn first_granule = first / granule_pages;
   const Pfn last_granule = (first + pages - 1) / granule_pages;
   uint64_t granules = 0;
   for (Pfn g = first_granule; g <= last_granule; ++g) {
-    Page* granule = &memmap_->page(g * granule_pages);  // Granules never span blocks.
-    bool any_new = false;
-    for (Page* p = granule; p < granule + granule_pages; ++p) {
-      if (!p->host_populated) {
-        // Host THP backs the whole aligned granule on first touch.
-        p->host_populated = true;
-        any_new = true;
-        ++*new_pages;
-      }
-    }
-    if (any_new) {
-      ++granules;
-    }
+    // Host THP backs the whole aligned granule on first touch.
+    const uint64_t fresh = memmap_->PopulateRange(g * granule_pages, granule_pages);
+    *new_pages += fresh;
+    granules += fresh > 0 ? 1 : 0;
   }
   return granules;
 }
@@ -372,13 +369,7 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   assert(proc.state() == ProcessState::kRunning);
   uint64_t populate_pages = 0;
   auto mark_populated = [this, &populate_pages](Pfn head, uint32_t pages) {
-    for (Pfn pfn = head; pfn < head + pages; ++pfn) {
-      Page& p = memmap_->page(pfn);
-      if (!p.host_populated) {
-        p.host_populated = true;
-        ++populate_pages;
-      }
-    }
+    populate_pages += memmap_->PopulateRange(head, pages);
   };
 
   // Recorded file pages: straight into the page cache, no backing read —
@@ -469,12 +460,8 @@ uint64_t GuestKernel::DropFileCache(int32_t file_id, TimeNs now) {
       continue;
     }
     const Pfn pfn = page_cache_.Remove(file_id, idx);
-    Page& p = memmap_->page(pfn);
-    if (p.host_populated) {
-      p.host_populated = false;
-      ++unpop_pages;
-    }
-    zones_[static_cast<size_t>(p.zone_id)]->Free(pfn);
+    unpop_pages += memmap_->Unpopulate(pfn) ? 1 : 0;
+    zones_[static_cast<size_t>(memmap_->page(pfn).zone_id)]->Free(pfn);
     ++dropped_pages;
   }
   if (unpop_pages > 0) {
@@ -514,20 +501,13 @@ BalloonOutcome GuestKernel::BalloonReclaim(uint64_t bytes, TimeNs now) {
 }
 
 void GuestKernel::WarmAllHostBacking(TimeNs now) {
+  // Every frame of a present block is memory the host can back; an absent
+  // block has nothing behind it.  Backing is a bitmap, so warming leaves
+  // summarized blocks summarized.
   uint64_t new_pages = 0;
   for (BlockIndex b = 0; b < memmap_->block_count(); ++b) {
-    if (memmap_->summary(b) == BlockSummary::kHole) {
-      continue;  // Nothing but holes: no backing to warm.
-    }
-    // Any other summarized block is present and wholly unbacked: warming
-    // writes a flag to every frame, so it materializes.
-    const Pfn start = MemMap::BlockStart(b);
-    for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
-      Page& p = memmap_->page(pfn);
-      if (p.state != PageState::kHole && !p.host_populated) {
-        p.host_populated = true;
-        ++new_pages;
-      }
+    if (memmap_->block_state(b) != BlockState::kAbsent) {
+      new_pages += memmap_->PopulateRange(MemMap::BlockStart(b), kPagesPerBlock);
     }
   }
   if (new_pages > 0) {

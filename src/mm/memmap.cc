@@ -1,5 +1,6 @@
 #include "src/mm/memmap.h"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 
@@ -15,6 +16,7 @@ MemMap::MemMap(uint64_t span_bytes) {
   blocks_.assign(blocks, BlockState::kAbsent);
   allocated_per_block_.assign(blocks, 0);
   max_links_.resize(span_pages_ >> kMaxPageOrder);
+  backing_.resize(blocks);
 }
 
 Page MemMap::SummaryPage(BlockIndex b, Pfn pfn) const {
@@ -62,23 +64,20 @@ Page* MemMap::Materialize(BlockIndex b) {
   return chunk;
 }
 
-void MemMap::DropChunk(BlockIndex b, BlockSummary kind) {
+void MemMap::Summarize(BlockIndex b, BlockSummary kind, int16_t zone) {
+  assert(kind != BlockSummary::kMaterialized);
   if (chunks_[b] != nullptr) {
     chunks_[b].reset();
     --materialized_;
   }
-  summaries_[b] = Summary{kind, -1};
-}
-
-void MemMap::SetSummary(BlockIndex b, BlockSummary kind, int16_t zone) {
-  assert(chunks_[b] == nullptr && kind != BlockSummary::kMaterialized);
   summaries_[b] = Summary{kind, zone};
 }
 
 void MemMap::InitBlock(BlockIndex b) {
   assert(blocks_[b] == BlockState::kAbsent);
   assert(CountBlockPages(b, PageState::kHole) == kPagesPerBlock);
-  DropChunk(b, BlockSummary::kOffline);
+  Summarize(b, BlockSummary::kOffline);
+  backing_[b] = Backing{};
   blocks_[b] = BlockState::kPresent;
 }
 
@@ -86,39 +85,60 @@ void MemMap::TeardownBlock(BlockIndex b) {
   assert(blocks_[b] == BlockState::kOffline || blocks_[b] == BlockState::kPresent);
   assert(CountBlockPages(b, PageState::kOffline) == kPagesPerBlock);
   blocks_[b] = BlockState::kAbsent;
-  Page* chunk = chunks_[b].get();
-  if (chunk == nullptr) {
-    summaries_[b] = Summary{BlockSummary::kHole, -1};
-    return;
+  Summarize(b, BlockSummary::kHole);
+}
+
+uint64_t MemMap::PopulateRange(Pfn first, uint32_t n) {
+  uint64_t added = 0;
+  const uint64_t end = uint64_t{first} + n;
+  assert(end <= span_pages_);
+  for (uint64_t pfn = first; pfn < end;) {
+    const BlockIndex b = BlockOf(static_cast<Pfn>(pfn));
+    const uint64_t block_end =
+        std::min<uint64_t>(end, uint64_t{BlockStart(b)} + kPagesPerBlock);
+    Backing& backing = backing_[b];
+    if (backing.bits == nullptr) {
+      backing.bits = std::make_unique<uint64_t[]>(kBackingWords);  // Zeroed.
+    }
+    // Word by word over the block-relative bit range [lo, hi).
+    uint32_t lo = static_cast<uint32_t>(pfn - BlockStart(b));
+    const uint32_t hi = static_cast<uint32_t>(block_end - BlockStart(b));
+    while (lo < hi) {
+      const uint32_t bit = lo % 64;
+      const uint32_t width = std::min<uint32_t>(64 - bit, hi - lo);
+      const uint64_t ones = width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+      const uint64_t mask = ones << bit;
+      uint64_t& word = backing.bits[lo / 64];
+      const uint32_t fresh = static_cast<uint32_t>(__builtin_popcountll(mask & ~word));
+      word |= mask;
+      backing.populated += fresh;
+      added += fresh;
+      lo += width;
+    }
+    pfn = block_end;
   }
-  bool any_populated = false;
-  for (Page* p = chunk; p < chunk + kPagesPerBlock; ++p) {
-    // Host population survives guest-side teardown only conceptually; the
-    // hypervisor clears it via madvise when it reclaims the range.
-    const bool populated = p->host_populated;
-    *p = Page{};
-    p->host_populated = populated;
-    any_populated = any_populated || populated;
+  return added;
+}
+
+bool MemMap::Unpopulate(Pfn pfn) {
+  Backing& backing = backing_[BlockOf(pfn)];
+  if (backing.bits == nullptr) {
+    return false;
   }
-  if (!any_populated) {
-    // Every page is back to the default hole the summary synthesizes —
-    // drop the chunk and return its sim memory (the hypervisor's
-    // HotRemoveBlock clears host_populated before tearing down, so real
-    // unplugs always take this path).
-    DropChunk(b, BlockSummary::kHole);
+  const uint32_t i = pfn % kPagesPerBlock;
+  uint64_t& word = backing.bits[i / 64];
+  const uint64_t bit = uint64_t{1} << (i % 64);
+  if ((word & bit) == 0) {
+    return false;
   }
+  word &= ~bit;
+  --backing.populated;
+  return true;
 }
 
 uint64_t MemMap::ClearHostPopulated(BlockIndex b) {
-  uint64_t cleared = 0;
-  Page* chunk = chunks_[b].get();
-  if (chunk == nullptr) {
-    return 0;
-  }
-  for (Page* p = chunk; p < chunk + kPagesPerBlock; ++p) {
-    cleared += p->host_populated ? 1 : 0;
-    p->host_populated = false;
-  }
+  const uint64_t cleared = backing_[b].populated;
+  backing_[b] = Backing{};
   return cleared;
 }
 

@@ -13,21 +13,26 @@
 //              max-order buddy chunks (the frames read as free chunk
 //              heads/tails of order kMaxPageOrder);
 //   kIsolated  going offline: every frame isolated, still in the zone.
-// No frame of a summarized block is host-populated.  The block lifecycle
-// moves a summarized block between these states in O(1) (InitBlock,
-// TeardownBlock, ClearHostPopulated here; RetireRange in the zone) or
-// O(32) (whole-block AddFreeRange / IsolateFreeRange, which touch only
-// the free lists) without creating a single Page.
+// The block lifecycle moves a summarized block between these states in
+// O(1) (InitBlock, TeardownBlock here; RetireRange in the zone) or O(32)
+// (whole-block AddFreeRange / IsolateFreeRange, which touch only the free
+// lists) without creating a single Page.
 //
-// Materialize on split.  Any mutable page() access materializes a
-// summarized block: one pass stamps its chunk from the summary, after
-// which the block is per-page until TeardownBlock frees the chunk again.
-// In practice the first materializing write is the first Alloc that pops
-// one of a kFree block's chunks (it splits or stamps it).  Reads that must
-// not materialize go through the const accessor, which synthesizes the
-// frame from the summary.  Every state transition and every frame read is
-// bit-identical to a flat per-page array (tests/flat_mm_oracle.h), apart
-// from where free-list links live — only RSS and time change.
+// Materialize on split, summarize on offline.  Any mutable page() access
+// materializes a summarized block: one pass stamps its chunk from the
+// summary.  In practice the first materializing write is the first Alloc
+// that pops one of a kFree block's chunks (it splits or stamps it).  The
+// offline path returns a block to a summary as soon as its frames are
+// uniform again: a whole-block IsolateFreeRange of a block whose
+// allocations all went away (kIsolated), every whole-block RetireRange
+// (kOffline) and TeardownBlock (kHole) free the chunk.  Free() never
+// re-summarizes: a block that empties while online stays per page, so a
+// hot alloc/free cycle does not stamp and drop 384 KiB each time.  Reads
+// that must not materialize go through the const accessor, which
+// synthesizes the frame from the summary.  Every state transition and
+// every frame read is bit-identical to a flat per-page array
+// (tests/flat_mm_oracle.h), apart from where free-list links live — only
+// RSS and time change.
 //
 // Max-order link table.  The free-list links of max-order chunk heads live
 // in a side table indexed by pfn >> kMaxPageOrder (8 B per 4 MiB), not in
@@ -36,8 +41,16 @@
 // owner words of their (ownerless) free head Page, so a frame costs 12
 // bytes and a materialized block's chunk 384 KiB (page.h).
 //
-// Reference stability: `page()` references are invalidated by InitBlock
-// and TeardownBlock of that page's block (both free the chunk); a
+// Host backing.  Whether the host (EPT) backs a frame is one bit in a
+// per-block bitmap (4 KiB, allocated on the block's first populate) plus
+// a per-block count, independent of the block's summary or chunk: a
+// summarized block can be backed, and backing survives guest-side
+// teardown until the hypervisor clears it (ClearHostPopulated, O(1)) or
+// the block is hot-added again (InitBlock drops it).
+//
+// Reference stability: `page()` references are invalidated by InitBlock,
+// TeardownBlock, and the zone's whole-block IsolateFreeRange and
+// RetireRange of that page's block (all free the chunk); a
 // materialization never moves another block's chunk.  Call sites hold a
 // Page& only within one operation on an online/offline block.
 #ifndef SQUEEZY_MM_MEMMAP_H_
@@ -113,16 +126,27 @@ class MemMap {
   static Pfn BlockStart(BlockIndex b) { return b * kPagesPerBlock; }
 
   // Hot-add: every frame of the block becomes offline (-> kPresent).  The
-  // block ends up summarized; host-populated flags a previous teardown
-  // kept are dropped, as the per-page re-initialization always did.
+  // block ends up summarized; host backing a previous teardown kept is
+  // dropped, as the per-page re-initialization always did.
   void InitBlock(BlockIndex b);
   // Hot-remove: tear down memmap entries (-> kHole).  Requires every page
-  // to be kOffline.  Frees the chunk when no host_populated flag survives
-  // (the hypervisor's HotRemoveBlock clears them before tearing down, so
-  // real unplugs return the chunk's sim memory).
+  // to be kOffline.  Always frees the chunk (O(1)); host backing is
+  // untouched (the hypervisor's HotRemoveBlock clears it first).
   void TeardownBlock(BlockIndex b);
-  // Clears every host_populated flag in the block and returns how many
-  // were set (O(1) on a summarized block: none are).
+
+  // --- Host backing (see above) ---------------------------------------------
+  bool host_populated(Pfn pfn) const {
+    const uint64_t* bits = backing_[BlockOf(pfn)].bits.get();
+    const uint32_t i = pfn % kPagesPerBlock;
+    return bits != nullptr && ((bits[i / 64] >> (i % 64)) & 1u) != 0;
+  }
+  // Marks [first, first + n) host-backed and returns how many of those
+  // frames were not backed before.  The range may cross block boundaries.
+  uint64_t PopulateRange(Pfn first, uint32_t n);
+  // Drops one frame's backing; returns whether it was backed.
+  bool Unpopulate(Pfn pfn);
+  // Drops every frame's backing in the block and returns how many were
+  // backed (O(1): frees the bitmap).
   uint64_t ClearHostPopulated(BlockIndex b);
 
   // Number of pages in the block with the given state (O(1) on a
@@ -156,7 +180,7 @@ class MemMap {
   uint64_t materialized_peak_bytes() const { return materialized_peak_ * ChunkBytes(); }
 
  private:
-  // The zone's whole-block transitions move summaries (SetSummary) in step
+  // The zone's whole-block transitions move summaries (Summarize) in step
   // with its free lists.
   friend class Zone;
 
@@ -172,13 +196,19 @@ class MemMap {
     int16_t zone = -1;
   };
 
-  // Moves an unmaterialized block to another summary.
-  void SetSummary(BlockIndex b, BlockSummary kind, int16_t zone = -1);
+  // Per-block host backing: one bit per frame, null until first populated.
+  struct Backing {
+    std::unique_ptr<uint64_t[]> bits;
+    uint32_t populated = 0;
+  };
+  static constexpr uint32_t kBackingWords = kPagesPerBlock / 64;
+
+  // Summarizes block b as `kind` (in `zone`), freeing its chunk if it has
+  // one; the caller guarantees every frame already reads as that summary.
+  void Summarize(BlockIndex b, BlockSummary kind, int16_t zone = -1);
   // Frame `pfn` of summarized block b.
   Page SummaryPage(BlockIndex b, Pfn pfn) const;
   Page* Materialize(BlockIndex b);
-  // Frees the chunk (if any) and summarizes the block as `kind`.
-  void DropChunk(BlockIndex b, BlockSummary kind);
 
   uint64_t span_pages_ = 0;
   // One Page[kPagesPerBlock] chunk per materialized block, null while the
@@ -188,6 +218,7 @@ class MemMap {
   std::vector<BlockState> blocks_;
   std::vector<uint32_t> allocated_per_block_;
   std::vector<FreeLink> max_links_;
+  std::vector<Backing> backing_;
   uint32_t materialized_ = 0;
   uint32_t materialized_peak_ = 0;
 };

@@ -37,13 +37,7 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
 
     // The copy writes every byte of the target folio; the host backs it as
     // a side effect (cost folded into migrate_page).
-    for (uint32_t i = 0; i < folio_pages; ++i) {
-      Page& tp = memmap.page(target + i);
-      if (!tp.host_populated) {
-        tp.host_populated = true;
-        ++outcome.pages_newly_backed;
-      }
-    }
+    outcome.pages_newly_backed += memmap.PopulateRange(target, folio_pages);
     src_zone.FreeIntoIsolation(pfn);
     if (owners != nullptr) {
       owners->RelocateFolio(kind, owner, owner_slot, target);

@@ -7,7 +7,7 @@
 // plus an intrusive doubly-linked free list threaded through the heads.
 //
 // Layout (12 bytes):
-//   bytes 0-1   flags: state:3, kind:2, order:4, head:1, host_populated:1
+//   bytes 0-1   flags: state:3, kind:2, order:4, head:1
 //   bytes 2-3   zone_id
 //   bytes 4-11  two 32-bit words
 // The two words are {owner, owner_slot} on every frame except a listed
@@ -57,14 +57,12 @@ struct FreeLink {
 struct Page {
   // Bit-fields take no default member initializers in C++17.
   Page()
-      : state(PageState::kHole), kind(PageKind::kNone), order(0), head(false),
-        host_populated(false) {}
+      : state(PageState::kHole), kind(PageKind::kNone), order(0), head(false) {}
 
   PageState state : 3;
   PageKind kind : 2;
   uint8_t order : 4;          // Folio/chunk order; valid on heads.
   bool head : 1;              // True for folio/chunk head frames.
-  bool host_populated : 1;    // Host (EPT) backing exists for this frame.
   int16_t zone_id = -1;       // Owning zone, -1 while offline/hole.
   int32_t owner = kNoOwner;   // Anon: pid.  File: file id.  (heads only)
   uint32_t owner_slot = 0;    // Anon: index in the owner's folio table.

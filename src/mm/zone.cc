@@ -8,6 +8,9 @@
 namespace squeezy {
 namespace {
 
+// Frames in one max-order chunk; a block is 32 of them.
+constexpr uint32_t kMaxChunkPages = 1u << kMaxPageOrder;
+
 // Splits [start, start + npages) at block boundaries.  `whole(b)` is
 // offered each block the range covers entirely and returns whether it
 // handled the block on its own; every other piece goes to
@@ -193,7 +196,7 @@ void Zone::AddFreeRange(Pfn start, uint64_t npages) {
         if (map().summary(b) != BlockSummary::kOffline) {
           return false;
         }
-        memmap_->SetSummary(b, BlockSummary::kFree, id_);
+        memmap_->Summarize(b, BlockSummary::kFree, id_);
         return true;
       },
       [this](Pfn begin, Pfn end) {
@@ -359,16 +362,22 @@ uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
   ForEachBlockSegment(
       start, npages,
       [this, &isolated](BlockIndex b) {
-        if (map().summary(b) != BlockSummary::kFree) {
+        // A kFree summary, or a materialized block whose allocations all
+        // went away: either way every frame is free, in exactly the
+        // block's 32 listed max-order chunks, and isolating it leaves
+        // uniform kIsolated frames — so the chunk goes.
+        const BlockSummary s = map().summary(b);
+        const bool whole_free = s == BlockSummary::kMaterialized ? WholeBlockFree(b)
+                                                                 : s == BlockSummary::kFree;
+        if (!whole_free) {
           return false;
         }
-        // Every frame is free, in exactly the block's 32 listed chunks.
-        assert(map().summary_zone(b) == id_);
+        assert(s == BlockSummary::kMaterialized || map().summary_zone(b) == id_);
         const Pfn first = MemMap::BlockStart(b);
-        for (Pfn chunk = first; chunk < first + kPagesPerBlock; chunk += 1u << kMaxPageOrder) {
+        for (Pfn chunk = first; chunk < first + kPagesPerBlock; chunk += kMaxChunkPages) {
           ListRemove(kMaxPageOrder, chunk);
         }
-        memmap_->SetSummary(b, BlockSummary::kIsolated, id_);
+        memmap_->Summarize(b, BlockSummary::kIsolated, id_);
         isolated += kPagesPerBlock;
         return true;
       },
@@ -433,31 +442,37 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
 }
 
 void Zone::RetireRange(Pfn start, uint64_t npages) {
-  ForEachBlockSegment(
-      start, npages,
-      [this](BlockIndex b) {
-        if (map().summary(b) != BlockSummary::kIsolated) {
-          return false;
-        }
-        assert(map().summary_zone(b) == id_);
-        memmap_->SetSummary(b, BlockSummary::kOffline);
-        return true;
-      },
-      [this](Pfn begin, Pfn end) {
-        Page* pages = &memmap_->page(begin);  // One chunk: the segment is in one block.
-        for (Pfn i = 0; i < end - begin; ++i) {
-          Page& p = pages[i];
-          assert(p.state == PageState::kIsolated);
-          assert(p.zone_id == id_);
-          p.state = PageState::kOffline;
-          p.zone_id = -1;
-          p.head = false;
-          p.order = 0;
-        }
-      });
+  // Offline works a block at a time.  Every frame of a block is isolated
+  // by now (the precondition), so it retires to a uniform kOffline
+  // summary whether or not it was materialized — the blocks migration
+  // emptied included.
+  assert(start % kPagesPerBlock == 0 && npages % kPagesPerBlock == 0);
+  const BlockIndex first = MemMap::BlockOf(start);
+  for (BlockIndex b = first; b < first + npages / kPagesPerBlock; ++b) {
+    assert(map().CountBlockPages(b, PageState::kIsolated) == kPagesPerBlock);
+    assert(map().page(MemMap::BlockStart(b)).zone_id == id_);
+    memmap_->Summarize(b, BlockSummary::kOffline);
+  }
   assert(present_pages_ >= npages && managed_pages_ >= npages);
   present_pages_ -= npages;
   managed_pages_ -= npages;
+}
+
+bool Zone::WholeBlockFree(BlockIndex b) const {
+  if (map().BlockOccupied(b) != 0) {
+    return false;
+  }
+  // Eager coalescing leaves an empty block as its 32 max-order chunks; a
+  // block with frames isolated, offline or in another zone is not whole.
+  const Pfn first = MemMap::BlockStart(b);
+  for (Pfn chunk = first; chunk < first + kPagesPerBlock; chunk += kMaxChunkPages) {
+    const Page p = map().page(chunk);
+    if (p.state != PageState::kFree || !p.head || p.order != kMaxPageOrder ||
+        p.zone_id != id_) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Zone::ShuffleFreeLists(Rng& rng) {

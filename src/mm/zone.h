@@ -21,14 +21,18 @@
 // Summarized blocks.  Each range operation works block by block.  A whole
 // block that is summarized takes the block-level path: AddFreeRange
 // (kOffline -> kFree) and IsolateFreeRange (kFree -> kIsolated) only link
-// or unlink its 32 max-order chunks, RetireRange (kIsolated -> kOffline)
-// is O(1).  The free-list order and the shuffle RNG's draws are exactly
-// those of the per-page path.  Any other range, and the first Alloc that
-// pops a kFree block's chunk, materializes the block (one stamping pass)
-// and continues per page.  Every read a zone makes without intending to
-// write goes through the memmap's const accessor, so inspection
-// (CheckFreeLists, ShuffleFreeLists, coalescing probes) never
-// materializes anything.
+// or unlink its 32 max-order chunks.  The offline path also summarizes
+// materialized blocks again: IsolateFreeRange takes a whole block whose
+// allocations all went away (its 32 max-order chunks, checked from their
+// heads) and frees its chunk.  RetireRange takes whole blocks only and
+// drops each to a kOffline summary in O(1), materialized or not, since
+// every frame is isolated by then.  The free-list order and the shuffle
+// RNG's draws are exactly those of the per-page path.  Any other range,
+// and the first Alloc that pops a kFree block's chunk, materializes the
+// block (one stamping pass) and continues per page; Free never
+// re-summarizes.  Every read a zone makes without intending to write goes
+// through the memmap's const accessor, so inspection (CheckFreeLists,
+// ShuffleFreeLists, coalescing probes) never materializes anything.
 #ifndef SQUEEZY_MM_ZONE_H_
 #define SQUEEZY_MM_ZONE_H_
 
@@ -79,8 +83,9 @@ class Zone {
   // Returns isolated pages in the range to the buddy (offline abort).
   void UndoIsolation(Pfn start, uint64_t npages);
 
-  // Retires a fully-isolated range from the zone (-> kOffline, zone stats
-  // shrink).  Every page in the range must be kIsolated.
+  // Retires fully-isolated whole blocks from the zone (-> kOffline summary,
+  // zone stats shrink).  start and npages are block-aligned, and every page
+  // in the range must be kIsolated.
   void RetireRange(Pfn start, uint64_t npages);
 
   // --- Allocation ------------------------------------------------------------
@@ -149,6 +154,9 @@ class Zone {
   void InsertFreeChunk(Pfn pfn, uint8_t order, bool fresh);
   // Marks the frames of a chunk as a free chunk (head/tails).
   void StampFreeChunk(Pfn pfn, uint8_t order);
+  // Whether materialized block b is entirely free in this zone, as its 32
+  // listed max-order chunks.  O(32).
+  bool WholeBlockFree(BlockIndex b) const;
 
   int16_t id_;
   ZoneType type_;

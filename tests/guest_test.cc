@@ -449,6 +449,9 @@ TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
   }
   const BlockIndex hole = guest.hotplug_first_block() + 3;
   ASSERT_EQ(guest.memmap().block_state(hole), BlockState::kAbsent);
+  const BlockIndex plugged = guest.hotplug_first_block();
+  ASSERT_NE(guest.memmap().block_state(plugged), BlockState::kAbsent);
+  ASSERT_FALSE(guest.memmap().BlockMaterialized(plugged));
   guest.WarmAllHostBacking(Sec(1));
   twin.WarmAllHostBacking(Sec(1));
   EXPECT_EQ(hv.stats(guest.vm_id()).populated_bytes,
@@ -457,6 +460,12 @@ TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
   EXPECT_EQ(host.populated(), MiB(512) + MiB(384));
   // Holes stay summarized: there is nothing behind them to warm.
   EXPECT_FALSE(guest.memmap().BlockMaterialized(hole));
+  EXPECT_FALSE(guest.memmap().host_populated(MemMap::BlockStart(hole)));
+  // A present, untouched block is warmed in its bitmap and stays a summary.
+  EXPECT_FALSE(guest.memmap().BlockMaterialized(plugged));
+  EXPECT_EQ(guest.memmap().summary(plugged), BlockSummary::kFree);
+  const Pfn last = MemMap::BlockStart(plugged) + kPagesPerBlock - 1;
+  EXPECT_TRUE(guest.memmap().host_populated(last));
 }
 
 }  // namespace

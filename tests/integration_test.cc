@@ -27,11 +27,11 @@ class AccountingTest : public testing::Test {
     hv_ = std::make_unique<Hypervisor>(host_.get(), &cost_);
   }
 
-  // Host populated bytes must equal the per-page host_populated flags.
+  // Host populated bytes must equal the memmap's per-frame backing bits.
   void ExpectPopulatedConsistent(GuestKernel& guest) {
     uint64_t flagged = 0;
     for (Pfn pfn = 0; pfn < guest.memmap().span_pages(); ++pfn) {
-      flagged += guest.memmap().page(pfn).host_populated;
+      flagged += guest.memmap().host_populated(pfn) ? 1 : 0;
     }
     EXPECT_EQ(PagesToBytes(flagged), hv_->stats(guest.vm_id()).populated_bytes);
   }

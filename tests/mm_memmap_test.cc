@@ -86,10 +86,10 @@ TEST(MemMapTest, HostPopulatedSurvivesTeardown) {
   // (it is released explicitly via the unplug acknowledgement).
   MemMap m(GiB(1));
   m.InitBlock(0);
-  m.page(17).host_populated = true;
+  m.PopulateRange(17, 1);
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
-  EXPECT_TRUE(m.page(17).host_populated);
+  EXPECT_TRUE(m.host_populated(17));
 }
 
 TEST(MemMapTest, ConstReadsNeverMaterialize) {
@@ -100,7 +100,7 @@ TEST(MemMapTest, ConstReadsNeverMaterialize) {
   EXPECT_EQ(m.materialized_blocks(), 0u);
   for (Pfn pfn = 0; pfn < cm.span_pages(); pfn += kPagesPerBlock / 3) {
     EXPECT_EQ(cm.page(pfn).state, PageState::kHole);
-    EXPECT_FALSE(cm.page(pfn).host_populated);
+    EXPECT_FALSE(cm.host_populated(pfn));
   }
   EXPECT_EQ(m.materialized_blocks(), 0u);
   EXPECT_EQ(m.materialized_bytes(), 0u);
@@ -122,8 +122,8 @@ TEST(MemMapTest, MutableTouchMaterializesOneChunk) {
 }
 
 TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
-  // The real unplug path (HotRemoveBlock) clears every host_populated
-  // flag before tearing down — the chunk's sim memory must come back.
+  // The real unplug path (HotRemoveBlock) clears host backing before
+  // tearing down — the chunk's sim memory must come back.
   MemMap m(GiB(1));
   m.InitBlock(0);
   EXPECT_EQ(m.materialized_blocks(), 0u);  // A hot-added block is a summary.
@@ -141,31 +141,38 @@ TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
   EXPECT_EQ(m.page(0).state, PageState::kOffline);
 }
 
-TEST(MemMapTest, TeardownKeepsChunkWhileHostBackingSurvives) {
-  // Population flags must survive guest-side teardown (see
-  // HostPopulatedSurvivesTeardown) — the chunk cannot be freed then.  The
-  // flag write is what materializes the hot-added block.
+TEST(MemMapTest, TeardownFreesChunkWhileHostBackingSurvives) {
+  // Backing lives outside the chunk: teardown frees the chunk even though
+  // host backing survives it (see HostPopulatedSurvivesTeardown), and the
+  // bits stay until the hypervisor clears them.
   MemMap m(GiB(1));
   m.InitBlock(0);
-  m.page(17).host_populated = true;
+  m.page(5);  // Materialize.
+  EXPECT_EQ(m.PopulateRange(17, 3), 3u);
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
-  EXPECT_TRUE(m.BlockMaterialized(0));
-  EXPECT_EQ(m.materialized_blocks(), 1u);
+  EXPECT_FALSE(m.BlockMaterialized(0));
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_TRUE(m.host_populated(17));
+  EXPECT_TRUE(m.host_populated(19));
+  EXPECT_EQ(m.ClearHostPopulated(0), 3u);
+  EXPECT_FALSE(m.host_populated(17));
+  EXPECT_EQ(m.ClearHostPopulated(0), 0u);
 }
 
 TEST(MemMapTest, InitBlockDropsSurvivingHostBacking) {
   // Re-adding a block whose teardown kept host flags starts it afresh.
   MemMap m(GiB(1));
   m.InitBlock(0);
-  m.page(17).host_populated = true;
+  m.PopulateRange(17, 1);
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
   m.InitBlock(0);
   EXPECT_FALSE(m.BlockMaterialized(0));
   const MemMap& cm = m;
   EXPECT_EQ(cm.page(17).state, PageState::kOffline);
-  EXPECT_FALSE(cm.page(17).host_populated);
+  EXPECT_FALSE(cm.host_populated(17));
+  EXPECT_EQ(m.ClearHostPopulated(0), 0u);
 }
 
 TEST(MemMapTest, UntouchedBlockCycleMaterializesNothing) {
@@ -257,7 +264,39 @@ TEST(MemMapTest, CountBlockPagesOnSummarizedBlocks) {
   expect_same(2);
   expect_same(5);
   EXPECT_EQ(m.materialized_blocks(), 0u);
-  EXPECT_EQ(twin.materialized_blocks(), 3u);
+  // The twin's block 2 was empty at isolate: it re-summarizes there.
+  EXPECT_EQ(twin.materialized_blocks(), 2u);
+}
+
+TEST(MemMapTest, PopulateRangeCountsNewFramesAcrossBlocks) {
+  MemMap m(GiB(1));
+  const Pfn boundary = MemMap::BlockStart(2);
+  // Straddles blocks 1 and 2, word-unaligned at both ends.
+  EXPECT_EQ(m.PopulateRange(boundary - 70, 200), 200u);
+  EXPECT_FALSE(m.host_populated(boundary - 71));
+  EXPECT_TRUE(m.host_populated(boundary - 70));
+  EXPECT_TRUE(m.host_populated(boundary));
+  EXPECT_TRUE(m.host_populated(boundary + 129));
+  EXPECT_FALSE(m.host_populated(boundary + 130));
+  // Overlap counts only the frames that were unbacked.
+  EXPECT_EQ(m.PopulateRange(boundary + 100, 64), 34u);
+  EXPECT_EQ(m.PopulateRange(boundary - 70, 200), 0u);
+  EXPECT_TRUE(m.Unpopulate(boundary));
+  EXPECT_FALSE(m.Unpopulate(boundary));
+  EXPECT_FALSE(m.Unpopulate(MemMap::BlockStart(5)));  // No bitmap at all.
+  EXPECT_EQ(m.ClearHostPopulated(1), 70u);
+  EXPECT_EQ(m.ClearHostPopulated(2), 163u);
+  // Backing never touches the chunks.
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+}
+
+TEST(MemMapTest, PopulateWholeBlock) {
+  MemMap m(GiB(1));
+  EXPECT_EQ(m.PopulateRange(MemMap::BlockStart(3), kPagesPerBlock),
+            static_cast<uint64_t>(kPagesPerBlock));
+  EXPECT_TRUE(m.host_populated(MemMap::BlockStart(3) + kPagesPerBlock - 1));
+  EXPECT_FALSE(m.host_populated(MemMap::BlockStart(4)));
+  EXPECT_EQ(m.ClearHostPopulated(3), static_cast<uint64_t>(kPagesPerBlock));
 }
 
 TEST(MemMapTest, OccupancyCounterStartsZero) {

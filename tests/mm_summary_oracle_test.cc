@@ -3,10 +3,12 @@
 // the same random sequence of plug / online (shuffled and unshuffled
 // zones) / Alloc at orders 0, 9 and 10 / AllocPages runs (against one
 // oracle Alloc(0) per page) / Free / isolate / UndoIsolation /
-// FreeIntoIsolation / retire / hot-remove / ShuffleFreeLists operations.
-// Every returned pfn and count, every zone counter and every frame (state,
-// ownership, host flag and free-list links, read without materializing)
-// must agree.
+// FreeIntoIsolation / retire / hot-remove / ShuffleFreeLists operations,
+// host backing set over ranges that cross block boundaries and dropped
+// frame by frame, and the whole offline of a block emptied while
+// materialized (which must return it to summaries).  Every returned pfn
+// and count, every zone counter and every frame (state, ownership, host
+// backing and free-list links, read without materializing) must agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -51,7 +53,7 @@ void ExpectSameBlock(const MemMap& m, const oracle::FlatMemMap& o, BlockIndex b,
     const bool listed = want.state == PageState::kFree && want.head;
     const bool max_head = listed && want.order == kMaxPageOrder;
     ASSERT_TRUE(got.state == want.state && got.kind == want.kind && got.order == want.order &&
-                got.head == want.head && got.host_populated == want.host_populated &&
+                got.head == want.head && m.host_populated(pfn) == want.host_populated &&
                 got.zone_id == want.zone_id)
         << "frame " << pfn << " differs at step " << step;
     if (listed && !max_head) {
@@ -128,7 +130,7 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
   };
 
   for (int step = 0; step < kSteps; ++step) {
-    switch (rng.UniformInt(0, 11)) {
+    switch (rng.UniformInt(0, 14)) {
       case 0: {  // Plug.
         const int64_t b = pick_block(Model::kAbsent);
         if (b >= 0) {
@@ -167,8 +169,8 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         if (got != kInvalidPfn) {
           live.push_back({got, order, z});
           if (rng.Chance(0.5)) {
+            m.PopulateRange(got, 1u << order);
             for (Pfn pfn = got; pfn < got + (1u << order); ++pfn) {
-              m.page(pfn).host_populated = true;
               o.page(pfn).host_populated = true;
             }
           }
@@ -298,6 +300,62 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
             live.pop_back();
           }
         }
+        break;
+      }
+      case 12: {  // Back a range that may cross a block boundary, as fault runs can.
+        const BlockIndex b = static_cast<BlockIndex>(rng.UniformInt(1, kBlocks - 1));
+        const Pfn first =
+            MemMap::BlockStart(b) - static_cast<Pfn>(rng.UniformInt(1, 3000));
+        const uint32_t n = static_cast<uint32_t>(rng.UniformInt(1, 6000));
+        uint64_t want = 0;
+        for (Pfn pfn = first; pfn < first + n; ++pfn) {
+          want += o.page(pfn).host_populated ? 0 : 1;
+          o.page(pfn).host_populated = true;
+        }
+        ASSERT_EQ(m.PopulateRange(first, n), want) << "step " << step;
+        break;
+      }
+      case 13: {  // Drop one frame's backing, as a balloon report or cache drop does.
+        Pfn pfn =
+            static_cast<Pfn>(rng.UniformInt(0, static_cast<int64_t>(m.span_pages()) - 1));
+        if (!live.empty() && rng.Chance(0.7)) {  // Mostly a frame of a live folio.
+          const Folio& f = live[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+          pfn = f.head + static_cast<Pfn>(rng.UniformInt(0, (int64_t{1} << f.order) - 1));
+        }
+        const bool want = o.page(pfn).host_populated;
+        o.page(pfn).host_populated = false;
+        ASSERT_EQ(m.Unpopulate(pfn), want) << "step " << step;
+        break;
+      }
+      case 14: {  // Empty a materialized online block, then offline and remove it.
+        const int64_t b = pick_block(Model::kOnline);
+        if (b < 0) {
+          break;
+        }
+        const BlockIndex bi = static_cast<BlockIndex>(b);
+        const size_t z = block_zone[bi];
+        for (size_t i = live.size(); i-- > 0;) {
+          if (MemMap::BlockOf(live[i].head) == bi) {
+            zones[z]->Free(live[i].head);
+            ozones[z]->Free(live[i].head);
+            drop_folio(i);
+          }
+        }
+        const Pfn start = MemMap::BlockStart(bi);
+        m.page(start);  // Materialize it if nothing had.
+        ASSERT_EQ(zones[z]->IsolateFreeRange(start, kPagesPerBlock),
+                  ozones[z]->IsolateFreeRange(start, kPagesPerBlock));
+        ASSERT_EQ(m.summary(bi), BlockSummary::kIsolated) << "step " << step;
+        ASSERT_FALSE(m.BlockMaterialized(bi)) << "step " << step;
+        zones[z]->RetireRange(start, kPagesPerBlock);
+        ozones[z]->RetireRange(start, kPagesPerBlock);
+        ASSERT_EQ(m.summary(bi), BlockSummary::kOffline) << "step " << step;
+        const uint64_t cleared = m.ClearHostPopulated(bi);
+        m.set_block_state(bi, BlockState::kOffline);
+        m.TeardownBlock(bi);
+        ASSERT_EQ(cleared, o.ClearAndTeardownBlock(bi)) << "step " << step;
+        model[bi] = Model::kAbsent;
         break;
       }
     }

@@ -69,7 +69,7 @@ struct ComboResult {
   uint64_t decisions = 0;          // Routing decisions the scheduler took.
   uint64_t index_updates = 0;      // Host deltas the HostIndex absorbed.
   size_t index_max_replicas = 0;   // Widest per-function candidate tree.
-  uint64_t memmap_peak_bytes = 0;  // Sum of per-VM extent-chunk peaks.
+  uint64_t memmap_peak_bytes = 0;  // Sum of per-VM materialized-frame peaks.
   FleetSummary fleet;
 
   // Depth of the widest per-function ordered index — the comparisons one
@@ -730,7 +730,7 @@ int main() {
     json.Metric("shard_route_decisions_" + tag, sh.decisions);
     json.Metric("shard_index_updates_" + tag, sh.index_updates);
     json.Metric("shard_index_depth_" + tag, sh.index_depth());
-    // Extent-MemMap footprint: peak materialized chunk bytes across every
+    // MemMap footprint: peak materialized granule-frame bytes across every
     // VM in the fleet (the flat page array made this hosts x guest span —
     // the per-host figure is what lets paper-sized functions run at 1024
     // hosts).  Deterministic -> BENCH.

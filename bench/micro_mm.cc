@@ -10,10 +10,12 @@
 #include "src/guest/guest_kernel.h"
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
+#include "src/hotplug/balloon.h"
 #include "src/mm/memmap.h"
 #include "src/mm/migration.h"
 #include "src/mm/zone.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/rng.h"
 
 namespace squeezy {
 namespace {
@@ -155,10 +157,10 @@ void BM_TouchFileCold(benchmark::State& state) {
 }
 BENCHMARK(BM_TouchFileCold);
 
-// The stamping pass that turns an online, entirely free block summary into
-// per-page frames (the first Alloc from a block pays it).  Onlining and
-// the offline/teardown back to a summary are outside the timed region.
-void BM_MaterializeBlock(benchmark::State& state) {
+// The stamping pass that gives an online, free granule its frames (the
+// first split below THP order pays it).  Onlining and the offline and
+// teardown that drop the frames again are outside the timed region.
+void BM_MaterializeGranule(benchmark::State& state) {
   MemMap memmap(kMemoryBlockBytes);
   Zone zone(0, ZoneType::kMovable, "z", &memmap);
   for (auto _ : state) {
@@ -175,10 +177,10 @@ void BM_MaterializeBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MaterializeBlock);
+BENCHMARK(BM_MaterializeGranule);
 
-// An aborted offline of an empty block: isolation summarizes it, and the
-// re-free materializes it again.
+// An aborted offline of an empty block: isolation and the re-free each
+// write the block's granule records, 32 max-order chunks at a time.
 void BM_IsolateUndo(benchmark::State& state) {
   MemMap memmap(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &memmap);
@@ -192,8 +194,8 @@ void BM_IsolateUndo(benchmark::State& state) {
 }
 BENCHMARK(BM_IsolateUndo);
 
-// The abort the hotplug path takes: one allocated page keeps the block per
-// page, so isolation and the re-free walk its frames.
+// The abort the hotplug path takes: one allocated page splits one granule,
+// so isolation and the re-free walk that granule's frames.
 void BM_IsolateUndoUsedBlock(benchmark::State& state) {
   MemMap memmap(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &memmap);
@@ -257,6 +259,39 @@ void BM_SqueezyUnplugPartition(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * MiB(768));
 }
 BENCHMARK(BM_SqueezyUnplugPartition);
+
+// A 2 GiB balloon inflation out of a shuffled, fully host-backed 4 GiB
+// movable zone: one run allocation and the batched host release.  The
+// deflation and the re-backing between iterations are not timed.
+void BM_BalloonInflate(benchmark::State& state) {
+  HostMemory host(GiB(64));
+  CostModel cost = CostModel::Default();
+  Hypervisor hv(&host, &cost);
+  const VmId vm = hv.RegisterVm("vm", 1);
+  MemMap memmap(GiB(4));
+  Rng rng(7);
+  Zone zone(0, ZoneType::kMovable, "z", &memmap, &rng);
+  for (BlockIndex b = 0; b < memmap.block_count(); ++b) {
+    memmap.InitBlock(b);
+    zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+  }
+  Rng shuffle(8);
+  zone.ShuffleFreeLists(shuffle);
+  BalloonDevice balloon(&memmap, &cost, &hv, vm);
+  for (auto _ : state) {
+    state.PauseTiming();
+    const uint64_t backed = memmap.PopulateRange(0, static_cast<uint32_t>(memmap.span_pages()));
+    hv.NestedFaultPopulate(vm, 0, PagesToBytes(backed), 0);
+    state.ResumeTiming();
+    const BalloonOutcome out = balloon.Inflate(GiB(2), &zone, 0);
+    benchmark::DoNotOptimize(out.breakdown.vm_exits);
+    state.PauseTiming();
+    balloon.Deflate(GiB(2), memmap, &zone);
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * GiB(2));
+}
+BENCHMARK(BM_BalloonInflate);
 
 }  // namespace
 }  // namespace squeezy

@@ -164,7 +164,7 @@ void GuestKernel::Exit(Pid pid) {
   proc.set_state(ProcessState::kExited);
   FolioRef folio;
   while (proc.PopFolio(&folio)) {
-    Zone& zone = *zones_[static_cast<size_t>(memmap_->page(folio.head).zone_id)];
+    Zone& zone = *zones_[static_cast<size_t>(std::as_const(*memmap_).page(folio.head).zone_id)];
     zone.Free(folio.head);
   }
   assert(live_processes_ > 0);
@@ -461,7 +461,7 @@ uint64_t GuestKernel::DropFileCache(int32_t file_id, TimeNs now) {
     }
     const Pfn pfn = page_cache_.Remove(file_id, idx);
     unpop_pages += memmap_->Unpopulate(pfn) ? 1 : 0;
-    zones_[static_cast<size_t>(memmap_->page(pfn).zone_id)]->Free(pfn);
+    zones_[static_cast<size_t>(std::as_const(*memmap_).page(pfn).zone_id)]->Free(pfn);
     ++dropped_pages;
   }
   if (unpop_pages > 0) {
@@ -475,7 +475,7 @@ uint64_t GuestKernel::FreeAnon(Pid pid, uint64_t bytes) {
   uint64_t freed = 0;
   FolioRef folio;
   while (freed < bytes && proc.PopFolio(&folio)) {
-    Zone& zone = *zones_[static_cast<size_t>(memmap_->page(folio.head).zone_id)];
+    Zone& zone = *zones_[static_cast<size_t>(std::as_const(*memmap_).page(folio.head).zone_id)];
     zone.Free(folio.head);
     freed += PagesToBytes(folio.pages());
   }
@@ -502,8 +502,8 @@ BalloonOutcome GuestKernel::BalloonReclaim(uint64_t bytes, TimeNs now) {
 
 void GuestKernel::WarmAllHostBacking(TimeNs now) {
   // Every frame of a present block is memory the host can back; an absent
-  // block has nothing behind it.  Backing is a bitmap, so warming leaves
-  // summarized blocks summarized.
+  // block has nothing behind it.  Backing is a bitmap, so warming gives
+  // no granule frames.
   uint64_t new_pages = 0;
   for (BlockIndex b = 0; b < memmap_->block_count(); ++b) {
     if (memmap_->block_state(b) != BlockState::kAbsent) {
@@ -611,7 +611,7 @@ Zone* GuestKernel::BlockZone(BlockIndex b) {
   if (override_hooks_ != nullptr) {
     return override_hooks_->BlockZone(b);
   }
-  // A const read: a summarized kFree block reports its zone without
+  // A const read: a uniform granule reports its zone without
   // materializing.
   const int16_t zone_id = std::as_const(*memmap_).page(MemMap::BlockStart(b)).zone_id;
   assert(zone_id >= 0);

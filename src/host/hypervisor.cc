@@ -51,17 +51,19 @@ DurationNs Hypervisor::AckUnplugBlock(VmId vm, uint64_t populated_bytes, TimeNs 
   return latency;
 }
 
-DurationNs Hypervisor::BalloonRelease(VmId vm, uint64_t pages, TimeNs now) {
+DurationNs Hypervisor::BalloonRelease(VmId vm, uint64_t pages, TimeNs now, uint64_t repeat) {
+  assert(repeat >= 1);
   VmStats& s = vms_[static_cast<size_t>(vm)];
-  const uint64_t bytes = PagesToBytes(pages);
+  const uint64_t bytes = PagesToBytes(pages) * repeat;
   const DurationNs latency = cost_->balloon_exit_page * static_cast<int64_t>(pages);
-  s.exits += pages / std::max<uint64_t>(1, cost_->balloon_batch_pages);
-  s.exit_time += latency;
+  const DurationNs total = latency * static_cast<int64_t>(repeat);
+  s.exits += pages / std::max<uint64_t>(1, cost_->balloon_batch_pages) * repeat;
+  s.exit_time += total;
   assert(s.populated_bytes >= bytes);
   s.populated_bytes -= bytes;
   host_->Unpopulate(bytes, now);
-  ChargeHostThread(vm, now, latency);
-  return latency;
+  ChargeHostThread(vm, now, latency, static_cast<int64_t>(repeat));
+  return total;
 }
 
 DurationNs Hypervisor::MadviseRelease(VmId vm, uint64_t populated_bytes, TimeNs now) {

@@ -53,7 +53,9 @@ class Hypervisor {
 
   // Balloon inflation report of `pages` guest pages (one exit per batch is
   // charged by the balloon device; this handles release accounting).
-  DurationNs BalloonRelease(VmId vm, uint64_t pages, TimeNs now);
+  // `repeat` > 1 books that many same-instant reports of `pages` each,
+  // exactly as that many calls would (the return value the summed latency).
+  DurationNs BalloonRelease(VmId vm, uint64_t pages, TimeNs now, uint64_t repeat = 1);
 
   // Host release of an arbitrary populated span in one madvise call
   // (dropping an evicted shared dependency image): VM exit + MADV_DONTNEED.

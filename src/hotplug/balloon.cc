@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace squeezy {
 
@@ -21,46 +22,50 @@ BalloonDevice::BalloonDevice(MemMap* memmap, const CostModel* cost, Hypervisor* 
 BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
   BalloonOutcome out;
   const uint64_t want = BytesToPages(bytes);
-  std::vector<Pfn> batch;
-  batch.reserve(cost_->balloon_batch_pages);
+  // The driver pins pages it inflates: they become unmovable kernel
+  // allocations until deflation.  One run allocation picks exactly the
+  // pages that many single-page allocations would, and stops where the
+  // zone runs dry (inflation stalls, complete=false).
+  const size_t first = held_.size();
+  held_.resize(first + std::min(want, zone->free_pages()));
+  out.pages = zone->AllocPages(held_.size() - first, PageKind::kKernel, kNoOwner,
+                               /*slots=*/nullptr, held_.data() + first);
+  held_.resize(first + out.pages);
+  out.breakdown.rest = cost_->balloon_guest_page * static_cast<int64_t>(out.pages);
 
-  auto report_batch = [&] {
-    if (batch.empty()) {
+  // Pages are reported in batches.  With batch size 1 every page pays a VM
+  // exit; larger batches amortize the kick (the batching ablation) but the
+  // host still releases per-page (MADV_DONTNEED on 4 KiB): only
+  // host-populated frames shrink the host's footprint, but every report
+  // pays the exit-side latency.  Consecutive batches of equal size and
+  // populated count are booked in one call, as that many reports.
+  const uint64_t batch_pages = std::max<uint64_t>(1, cost_->balloon_batch_pages);
+  uint64_t run_size = 0;
+  uint64_t run_populated = 0;
+  uint64_t run_batches = 0;
+  auto book_run = [&] {
+    if (run_batches == 0) {
       return;
     }
-    // The host releases each reported page; only host-populated frames
-    // actually shrink the host's footprint, but every report pays the
-    // exit-side latency.
-    uint64_t populated = 0;
-    for (const Pfn pfn : batch) {
-      populated += memmap_->Unpopulate(pfn) ? 1 : 0;
-    }
     out.breakdown.vm_exits +=
-        hv_->BalloonRelease(vm_, populated, now) +
-        cost_->balloon_exit_page * static_cast<int64_t>(batch.size() - populated);
-    batch.clear();
+        hv_->BalloonRelease(vm_, run_populated, now, run_batches) +
+        cost_->balloon_exit_page * static_cast<int64_t>((run_size - run_populated) * run_batches);
+    run_batches = 0;
   };
-
-  while (out.pages < want) {
-    // The driver pins pages it inflates: they become unmovable kernel
-    // allocations until deflation.
-    const Pfn pfn = zone->Alloc(/*order=*/0, PageKind::kKernel, kNoOwner, 0);
-    if (pfn == kInvalidPfn) {
-      break;  // Zone exhausted; inflation stalls (complete=false).
+  for (uint64_t i = 0; i < out.pages; i += batch_pages) {
+    const uint64_t size = std::min(batch_pages, out.pages - i);
+    uint64_t populated = 0;
+    for (uint64_t k = first + i; k < first + i + size; ++k) {
+      populated += memmap_->Unpopulate(held_[k]) ? 1 : 0;
     }
-    held_.push_back(pfn);
-    ++out.pages;
-    out.breakdown.rest += cost_->balloon_guest_page;
-
-    // With batch size 1 every page pays a VM exit; larger batches amortize
-    // the kick (the batching ablation) but the host still releases
-    // per-page (MADV_DONTNEED on 4 KiB).
-    batch.push_back(pfn);
-    if (batch.size() >= cost_->balloon_batch_pages) {
-      report_batch();
+    if (run_batches > 0 && (size != run_size || populated != run_populated)) {
+      book_run();
     }
+    run_size = size;
+    run_populated = populated;
+    ++run_batches;
   }
-  report_batch();
+  book_run();
 
   out.complete = out.pages >= want;
   if (cpu_ != nullptr) {
@@ -81,7 +86,7 @@ DurationNs BalloonDevice::Deflate(uint64_t bytes, MemMap& memmap, Zone* zone) {
   for (uint64_t i = 0; i < want; ++i) {
     const Pfn pfn = held_.back();
     held_.pop_back();
-    assert(memmap.page(pfn).state == PageState::kAllocated);
+    assert(std::as_const(memmap).page(pfn).state == PageState::kAllocated);
     zone->Free(pfn);
     latency += cost_->balloon_guest_page;
   }

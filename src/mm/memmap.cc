@@ -11,72 +11,88 @@ MemMap::MemMap(uint64_t span_bytes) {
   assert(blocks > 0);
   assert(blocks * kPagesPerBlock < kInvalidPfn);
   span_pages_ = blocks * kPagesPerBlock;
-  chunks_.resize(blocks);
-  summaries_.resize(blocks);
+  records_.resize(span_pages_ / kGranulePages);
+  frames_.resize(span_pages_ / kGranulePages);
   blocks_.assign(blocks, BlockState::kAbsent);
   allocated_per_block_.assign(blocks, 0);
   max_links_.resize(span_pages_ >> kMaxPageOrder);
   backing_.resize(blocks);
 }
 
-Page MemMap::SummaryPage(BlockIndex b, Pfn pfn) const {
-  const Summary& s = summaries_[b];
-  Page p;
-  switch (s.kind) {
-    case BlockSummary::kMaterialized:
-      assert(false && "summary read of a materialized block");
-      break;
-    case BlockSummary::kHole:
-      break;
-    case BlockSummary::kOffline:
-      p.state = PageState::kOffline;
-      break;
-    case BlockSummary::kFree:
-      p.state = PageState::kFree;
-      p.order = kMaxPageOrder;
-      p.head = (pfn & ((1u << kMaxPageOrder) - 1)) == 0;
-      p.zone_id = s.zone;
-      break;
-    case BlockSummary::kIsolated:
-      p.state = PageState::kIsolated;
-      p.zone_id = s.zone;
-      break;
-  }
-  return p;
+Page MemMap::UniformFrame(Pfn pfn) const {
+  const Page& record = records_[pfn / kGranulePages];
+  return pfn % kGranulePages == 0 ? record : Tail(record);
 }
 
-Page* MemMap::Materialize(BlockIndex b) {
-  assert(chunks_[b] == nullptr);
-  // One stamping pass: every frame starts as the summary says it is (the
-  // max-order heads of a kFree block differ from its tails in `head`).
-  Page* chunk = std::allocator<Page>().allocate(kPagesPerBlock);
-  chunks_[b] = Chunk(chunk);
-  const Pfn start = BlockStart(b);
-  std::uninitialized_fill_n(chunk, kPagesPerBlock, SummaryPage(b, start + 1));
-  if (summaries_[b].kind == BlockSummary::kFree) {
-    for (uint32_t i = 0; i < kPagesPerBlock; i += 1u << kMaxPageOrder) {
-      chunk[i].head = true;
-    }
+Page* MemMap::FramesToOverwrite(Pfn pfn) {
+  Frames& frames = frames_[pfn / kGranulePages];
+  if (frames == nullptr) {
+    frames = Frames(std::allocator<Page>().allocate(kGranulePages));
+    ++materialized_;
+    materialized_peak_ = materialized_ > materialized_peak_ ? materialized_ : materialized_peak_;
   }
-  summaries_[b] = Summary{BlockSummary::kMaterialized, -1};
-  ++materialized_;
-  materialized_peak_ = materialized_ > materialized_peak_ ? materialized_ : materialized_peak_;
-  return chunk;
+  return frames.get();
 }
 
-void MemMap::Summarize(BlockIndex b, BlockSummary kind, int16_t zone) {
-  assert(kind != BlockSummary::kMaterialized);
-  if (chunks_[b] != nullptr) {
-    chunks_[b].reset();
+Page* MemMap::Materialize(uint32_t granule) {
+  assert(frames_[granule] == nullptr);
+  // One stamping pass: frame 0 is the record, every other frame its tail.
+  Page* frames = FramesToOverwrite(granule * kGranulePages);
+  FillPages(frames, kGranulePages, Tail(records_[granule]));
+  frames[0] = records_[granule];
+  return frames;
+}
+
+void MemMap::SetChunk(Pfn pfn, uint8_t order, const Page& head) {
+  assert(order <= kMaxPageOrder);
+  assert((pfn & ((1u << order) - 1)) == 0);
+  if (order < kThpOrder) {
+    Page* frames = &page(pfn);  // One granule.
+    FillPages(frames, 1u << order, Tail(head));
+    frames[0] = head;
+    return;
+  }
+  const uint32_t first = pfn / kGranulePages;
+  const uint32_t last = first + (1u << (order - kThpOrder));
+  for (uint32_t g = first; g < last; ++g) {
+    records_[g] = g == first ? head : Tail(head);
+    DropFrames(g);
+  }
+}
+
+void MemMap::SetBlock(BlockIndex b, const Page& frame) {
+  assert(!frame.head && frame.owner == kNoOwner && frame.owner_slot == 0);
+  constexpr uint32_t kGranulesPerBlock = kPagesPerBlock / kGranulePages;
+  const uint32_t first = b * kGranulesPerBlock;
+  FillPages(&records_[first], kGranulesPerBlock, frame);  // Each record is its own tail.
+  for (uint32_t g = first; g < first + kGranulesPerBlock; ++g) {
+    DropFrames(g);
+  }
+}
+
+void MemMap::DropFrames(uint32_t granule) {
+  if (frames_[granule] != nullptr) {
+    frames_[granule].reset();
     --materialized_;
   }
-  summaries_[b] = Summary{kind, zone};
+}
+
+bool MemMap::BlockMaterialized(BlockIndex b) const {
+  const Pfn start = BlockStart(b);
+  for (Pfn pfn = start; pfn < start + kPagesPerBlock; pfn += kGranulePages) {
+    if (Materialized(pfn)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void MemMap::InitBlock(BlockIndex b) {
   assert(blocks_[b] == BlockState::kAbsent);
   assert(CountBlockPages(b, PageState::kHole) == kPagesPerBlock);
-  Summarize(b, BlockSummary::kOffline);
+  Page offline;
+  offline.state = PageState::kOffline;
+  SetBlock(b, offline);
   backing_[b] = Backing{};
   blocks_[b] = BlockState::kPresent;
 }
@@ -85,7 +101,7 @@ void MemMap::TeardownBlock(BlockIndex b) {
   assert(blocks_[b] == BlockState::kOffline || blocks_[b] == BlockState::kPresent);
   assert(CountBlockPages(b, PageState::kOffline) == kPagesPerBlock);
   blocks_[b] = BlockState::kAbsent;
-  Summarize(b, BlockSummary::kHole);
+  SetBlock(b, Page{});
 }
 
 uint64_t MemMap::PopulateRange(Pfn first, uint32_t n) {
@@ -143,14 +159,16 @@ uint64_t MemMap::ClearHostPopulated(BlockIndex b) {
 }
 
 uint64_t MemMap::CountBlockPages(BlockIndex b, PageState state) const {
-  const Page* chunk = chunks_[b].get();
-  if (chunk == nullptr) {
-    return SummaryPage(b, BlockStart(b)).state == state ? kPagesPerBlock : 0;
-  }
   uint64_t n = 0;
-  for (const Page* p = chunk; p < chunk + kPagesPerBlock; ++p) {
-    if (p->state == state) {
-      ++n;
+  const Pfn start = BlockStart(b);
+  for (Pfn pfn = start; pfn < start + kPagesPerBlock; pfn += kGranulePages) {
+    const Page* frames = frames_[pfn / kGranulePages].get();
+    if (frames == nullptr) {
+      n += records_[pfn / kGranulePages].state == state ? kGranulePages : 0;
+      continue;
+    }
+    for (const Page* p = frames; p < frames + kGranulePages; ++p) {
+      n += p->state == state ? 1 : 0;
     }
   }
   return n;

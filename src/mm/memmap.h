@@ -2,57 +2,47 @@
 // guest physical span plus the hotplug memory-block state machine (Linux
 // adds and removes memory in 128 MiB blocks on x86).
 //
-// Block summaries.  The mechanisms the simulator models act on whole
-// 128 MiB blocks, and most blocks are uniform for their whole life: a
-// hole, a hot-added block that is never onlined, or an onlined block from
-// which nothing was ever allocated.  Such a block is stored as ONE
-// per-block summary with no Page[] chunk behind it:
-//   kHole      every frame is Page{} (no memory behind the block);
-//   kOffline   every frame offline in no zone (hot-added, or retired);
-//   kFree      online in zone `summary_zone`, entirely free as its 32
-//              max-order buddy chunks (the frames read as free chunk
-//              heads/tails of order kMaxPageOrder);
-//   kIsolated  going offline: every frame isolated, still in the zone.
-// The block lifecycle moves a summarized block between these states in
-// O(1) (InitBlock, TeardownBlock here; RetireRange in the zone) or O(32)
-// (whole-block AddFreeRange / IsolateFreeRange, which touch only the free
-// lists) without creating a single Page.
+// Granule map.  The span is cut into 2 MiB granules (kGranulePages = 512
+// frames, one THP folio).  Every granule has ONE 12-byte Page record; a
+// Page[512] of frames exists only while the granule is split below THP
+// order.  A granule without frames is *uniform*: frame 0 reads as its
+// record, and frames 1..511 read as the record's tails — the record with
+// head=false and owner words {kNoOwner, 0}.  That rule reproduces bit for
+// bit every frame the per-page code writes at order >= kThpOrder: a free
+// chunk or allocated folio of order 9 (record = head) or 10 (the second
+// granule's record is itself a tail), isolated and offline frames
+// (order 0, head=false), and holes.  So the buddy allocator's order >= 9
+// work writes one or two records, a hot(un)plug lifecycle step writes a
+// block's 64 records, and a block that only ever held THP folios never
+// allocates a frame.
 //
-// Materialize on split, summarize on offline.  Any mutable page() access
-// materializes a summarized block: one pass stamps its chunk from the
-// summary.  In practice the first materializing write is the first Alloc
-// that pops one of a kFree block's chunks (it splits or stamps it).  The
-// offline path returns a block to a summary as soon as its frames are
-// uniform again: a whole-block IsolateFreeRange of a block whose
-// allocations all went away (kIsolated), every whole-block RetireRange
-// (kOffline) and TeardownBlock (kHole) free the chunk.  Free() never
-// re-summarizes: a block that empties while online stays per page, so a
-// hot alloc/free cycle does not stamp and drop 384 KiB each time.  Reads
-// that must not materialize go through the const accessor, which
-// synthesizes the frame from the summary.  Every state transition and
-// every frame read is bit-identical to a flat per-page array
-// (tests/flat_mm_oracle.h), apart from where free-list links live — only
-// RSS and time change.
+// Materialize on split, drop on any order >= 9 write.  A mutable page()
+// access materializes only its granule: one 512-frame stamp from the
+// record.  In practice that is the first split of a granule's chunk below
+// order 9.  Every chunk write at order >= 9 (SetChunk: THP/max-order
+// alloc, free, isolation; SetBlock: init, retire, teardown) writes records
+// and frees the frames, so a granule holds frames only while something
+// below THP order lives in it (or a mutable touch materialized it).
+// Reads that must not materialize go through the const accessor.  Every
+// state transition and every frame read is bit-identical to a flat
+// per-page array (tests/flat_mm_oracle.h), apart from where free-list
+// links live — only RSS and time change.
 //
-// Max-order link table.  The free-list links of max-order chunk heads live
-// in a side table indexed by pfn >> kMaxPageOrder (8 B per 4 MiB), not in
-// Page, so a kFree block's chunks sit on a zone free list in exactly the
-// order a per-page map would give them.  Sub-max-order links live in the
-// owner words of their (ownerless) free head Page, so a frame costs 12
-// bytes and a materialized block's chunk 384 KiB (page.h).
+// Free-list links.  Max-order (order-10) chunk heads keep their links in
+// a side table indexed by pfn >> kMaxPageOrder (8 B per 4 MiB).  Every
+// other listed free head keeps them in its owner words (page.h): an
+// order-9 head in its granule's record, a smaller one in its frame.
 //
 // Host backing.  Whether the host (EPT) backs a frame is one bit in a
 // per-block bitmap (4 KiB, allocated on the block's first populate) plus
-// a per-block count, independent of the block's summary or chunk: a
-// summarized block can be backed, and backing survives guest-side
-// teardown until the hypervisor clears it (ClearHostPopulated, O(1)) or
-// the block is hot-added again (InitBlock drops it).
+// a per-block count, independent of the granules: a uniform granule can be
+// backed, and backing survives guest-side teardown until the hypervisor
+// clears it (ClearHostPopulated, O(1)) or the block is hot-added again
+// (InitBlock drops it).
 //
-// Reference stability: `page()` references are invalidated by InitBlock,
-// TeardownBlock, and the zone's whole-block IsolateFreeRange and
-// RetireRange of that page's block (all free the chunk); a
-// materialization never moves another block's chunk.  Call sites hold a
-// Page& only within one operation on an online/offline block.
+// Reference stability: a `page()` reference is invalidated by any
+// order >= 9 write that covers its granule (which frees the frames).
+// Call sites hold a Page& only within one operation on its granule.
 #ifndef SQUEEZY_MM_MEMMAP_H_
 #define SQUEEZY_MM_MEMMAP_H_
 
@@ -67,6 +57,9 @@ namespace squeezy {
 
 using BlockIndex = uint32_t;
 
+// Frames in one granule: one THP folio, 2 MiB.
+inline constexpr uint32_t kGranulePages = 1u << kThpOrder;
+
 enum class BlockState : uint8_t {
   kAbsent,        // No memory behind the block (never added / removed).
   kPresent,       // Hot-added: memmap initialized, pages offline.
@@ -75,19 +68,10 @@ enum class BlockState : uint8_t {
   kOffline,       // Pages retracted from the allocator, still present.
 };
 
-// What an unmaterialized block's frames all look like (see above).
-enum class BlockSummary : uint8_t {
-  kMaterialized,  // Per-page chunk exists; no summary.
-  kHole,
-  kOffline,
-  kFree,
-  kIsolated,
-};
-
 class MemMap {
  public:
   // Creates the map for a guest span of `span_bytes` (rounded up to whole
-  // 128 MiB blocks).  All blocks start kAbsent, summarized as holes.
+  // 128 MiB blocks).  All blocks start kAbsent, every granule a uniform hole.
   explicit MemMap(uint64_t span_bytes);
 
   MemMap(const MemMap&) = delete;
@@ -96,28 +80,39 @@ class MemMap {
   uint64_t span_pages() const { return span_pages_; }
   uint32_t block_count() const { return static_cast<uint32_t>(blocks_.size()); }
 
-  // Mutable access materializes a summarized block first.
+  // Mutable access materializes the frame's granule first.
   Page& page(Pfn pfn) {
-    const BlockIndex b = BlockOf(pfn);
-    Page* chunk = chunks_[b].get();
-    if (chunk == nullptr) {
-      chunk = Materialize(b);
+    Page* frames = frames_[pfn / kGranulePages].get();
+    if (frames == nullptr) {
+      frames = Materialize(pfn / kGranulePages);
     }
-    return chunk[pfn - BlockStart(b)];
+    return frames[pfn % kGranulePages];
   }
-  // Const access never materializes: a summarized block's frame is
-  // synthesized from its summary.
+  // Const access never materializes: a uniform granule's frame is its
+  // record or the record's tail.
   Page page(Pfn pfn) const {
-    const BlockIndex b = BlockOf(pfn);
-    const Page* chunk = chunks_[b].get();
-    return chunk == nullptr ? SummaryPage(b, pfn) : chunk[pfn - BlockStart(b)];
+    const Page* frames = frames_[pfn / kGranulePages].get();
+    return frames != nullptr ? frames[pfn % kGranulePages] : UniformFrame(pfn);
   }
 
-  // Whether block b's per-page chunk is currently backed by sim memory.
-  bool BlockMaterialized(BlockIndex b) const { return chunks_[b] != nullptr; }
-  BlockSummary summary(BlockIndex b) const { return summaries_[b].kind; }
-  // The zone of a kFree / kIsolated summary (-1 otherwise).
-  int16_t summary_zone(BlockIndex b) const { return summaries_[b].zone; }
+  // Frame 1..511 of a uniform granule whose frame 0 is `head`.
+  static Page Tail(Page head) {
+    head.head = false;
+    head.owner = kNoOwner;
+    head.owner_slot = 0;
+    return head;
+  }
+
+  // Whether pfn's granule currently has frames.
+  bool Materialized(Pfn pfn) const { return frames_[pfn / kGranulePages] != nullptr; }
+  // Whether any granule of block b has frames (O(64); diagnostics).
+  bool BlockMaterialized(BlockIndex b) const;
+  // The first frame after pfn whose state, kind, order and zone may differ
+  // from pfn's: pfn + 1 in a granule with frames, the granule's end in a
+  // uniform one (whose frames differ only in `head` and owner words).
+  Pfn NextDistinct(Pfn pfn) const {
+    return Materialized(pfn) ? pfn + 1 : (pfn | (kGranulePages - 1)) + 1;
+  }
 
   BlockState block_state(BlockIndex b) const { return blocks_[b]; }
   void set_block_state(BlockIndex b, BlockState s) { blocks_[b] = s; }
@@ -125,13 +120,13 @@ class MemMap {
   static BlockIndex BlockOf(Pfn pfn) { return pfn / kPagesPerBlock; }
   static Pfn BlockStart(BlockIndex b) { return b * kPagesPerBlock; }
 
-  // Hot-add: every frame of the block becomes offline (-> kPresent).  The
-  // block ends up summarized; host backing a previous teardown kept is
+  // Hot-add: every frame of the block becomes offline (-> kPresent), as
+  // 64 uniform granules.  Host backing a previous teardown kept is
   // dropped, as the per-page re-initialization always did.
   void InitBlock(BlockIndex b);
   // Hot-remove: tear down memmap entries (-> kHole).  Requires every page
-  // to be kOffline.  Always frees the chunk (O(1)); host backing is
-  // untouched (the hypervisor's HotRemoveBlock clears it first).
+  // to be kOffline.  Frees any frames (O(64)); host backing is untouched
+  // (the hypervisor's HotRemoveBlock clears it first).
   void TeardownBlock(BlockIndex b);
 
   // --- Host backing (see above) ---------------------------------------------
@@ -149,8 +144,8 @@ class MemMap {
   // backed (O(1): frees the bitmap).
   uint64_t ClearHostPopulated(BlockIndex b);
 
-  // Number of pages in the block with the given state (O(1) on a
-  // summarized block, an O(block) scan otherwise; the tests use it to
+  // Number of pages in the block with the given state (O(1) per uniform
+  // granule, a scan of each granule with frames; the tests use it to
   // cross-check the incremental counter below).
   uint64_t CountBlockPages(BlockIndex b, PageState state) const;
 
@@ -173,28 +168,24 @@ class MemMap {
   uint32_t CountBlocks(BlockState s) const;
 
   // --- Materialization accounting (the per-host sim-RSS signal) ------------
-  static uint64_t ChunkBytes() { return kPagesPerBlock * sizeof(Page); }
-  uint32_t materialized_blocks() const { return materialized_; }
-  uint32_t materialized_peak_blocks() const { return materialized_peak_; }
-  uint64_t materialized_bytes() const { return materialized_ * ChunkBytes(); }
-  uint64_t materialized_peak_bytes() const { return materialized_peak_ * ChunkBytes(); }
+  static uint64_t GranuleBytes() { return kGranulePages * sizeof(Page); }
+  uint32_t materialized_granules() const { return materialized_; }
+  uint32_t materialized_peak_granules() const { return materialized_peak_; }
+  uint64_t materialized_bytes() const { return materialized_ * GranuleBytes(); }
+  uint64_t materialized_peak_bytes() const { return materialized_peak_ * GranuleBytes(); }
 
  private:
-  // The zone's whole-block transitions move summaries (Summarize) in step
-  // with its free lists.
+  // The zone writes records directly for its order >= 9 work.
   friend class Zone;
 
-  // A chunk's storage is filled in place by Materialize (one pass, no
+  // Frames are filled in place by their first writer (one pass, no
   // value-initialization first); Page is trivially destructible.
-  struct ChunkDeleter {
-    void operator()(Page* chunk) const { std::allocator<Page>().deallocate(chunk, kPagesPerBlock); }
+  struct FramesDeleter {
+    void operator()(Page* frames) const {
+      std::allocator<Page>().deallocate(frames, kGranulePages);
+    }
   };
-  using Chunk = std::unique_ptr<Page[], ChunkDeleter>;
-
-  struct Summary {
-    BlockSummary kind = BlockSummary::kHole;
-    int16_t zone = -1;
-  };
+  using Frames = std::unique_ptr<Page[], FramesDeleter>;
 
   // Per-block host backing: one bit per frame, null until first populated.
   struct Backing {
@@ -203,18 +194,33 @@ class MemMap {
   };
   static constexpr uint32_t kBackingWords = kPagesPerBlock / 64;
 
-  // Summarizes block b as `kind` (in `zone`), freeing its chunk if it has
-  // one; the caller guarantees every frame already reads as that summary.
-  void Summarize(BlockIndex b, BlockSummary kind, int16_t zone = -1);
-  // Frame `pfn` of summarized block b.
-  Page SummaryPage(BlockIndex b, Pfn pfn) const;
-  Page* Materialize(BlockIndex b);
+  // Frame `pfn` of its uniform granule.  Out of line: inlined, the tail's
+  // bit-field write merges into every caller's frame read and stalls its
+  // store forwarding.
+  Page UniformFrame(Pfn pfn) const;
+  // Frame 0 of pfn's granule, writable without materializing: the record
+  // of a uniform granule, else frame 0.  Holds an order-9 head's links.
+  Page& GranuleHead(Pfn pfn) {
+    const uint32_t g = pfn / kGranulePages;
+    return frames_[g] != nullptr ? frames_[g][0] : records_[g];
+  }
+  // Writes the naturally aligned 2^order frames at pfn as `head` and its
+  // tails.  At order >= kThpOrder they become uniform granules (each later
+  // granule's record is head's tail) and lose their frames; below, the one
+  // granule involved materializes.
+  void SetChunk(Pfn pfn, uint8_t order, const Page& head);
+  // Every frame of block b becomes `frame` (a non-head, ownerless frame).
+  void SetBlock(BlockIndex b, const Page& frame);
+  // The frames of pfn's granule for a caller that overwrites all 512 of
+  // them: a uniform granule gets frames without the stamp from its record.
+  Page* FramesToOverwrite(Pfn pfn);
+  Page* Materialize(uint32_t granule);
+  void DropFrames(uint32_t granule);
 
   uint64_t span_pages_ = 0;
-  // One Page[kPagesPerBlock] chunk per materialized block, null while the
-  // block is summarized.
-  std::vector<Chunk> chunks_;
-  std::vector<Summary> summaries_;
+  // One record per granule, and its frames while it has any.
+  std::vector<Page> records_;
+  std::vector<Frames> frames_;
   std::vector<BlockState> blocks_;
   std::vector<uint32_t> allocated_per_block_;
   std::vector<FreeLink> max_links_;

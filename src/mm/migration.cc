@@ -1,5 +1,6 @@
 #include "src/mm/migration.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -13,7 +14,7 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
   while (pfn < end) {
     const Page p = std::as_const(memmap).page(pfn);
     if (p.state != PageState::kAllocated) {
-      ++pfn;
+      pfn = std::min(memmap.NextDistinct(pfn), end);  // A uniform granule in one move.
       continue;
     }
     assert(p.head && "allocated tail encountered before its head in range scan");

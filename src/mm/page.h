@@ -1,10 +1,15 @@
 // Guest physical page model (the simulator's `struct page`).
 //
-// One Page exists per 4 KiB guest frame of a materialized block (see
-// memmap.h).  Pages form folios (compound pages): an order-N folio covers
-// 2^N contiguous, naturally aligned frames; only the head carries
-// ownership metadata.  Free buddy chunks use the same head/tail scheme
-// plus an intrusive doubly-linked free list threaded through the heads.
+// A Page describes one 4 KiB guest frame.  Pages form folios (compound
+// pages): an order-N folio covers 2^N contiguous, naturally aligned
+// frames; only the head carries ownership metadata.  Free buddy chunks use
+// the same head/tail scheme plus an intrusive doubly-linked free list
+// threaded through the heads.
+//
+// The same 12-byte struct is also a granule record (memmap.h): each 2 MiB
+// granule stores one Page that is its frame 0, and while the granule has
+// no frames of its own, frames 1..511 read as that record's tails (the
+// record with head=false and owner words {kNoOwner, 0}).
 //
 // Layout (12 bytes):
 //   bytes 0-1   flags: state:3, kind:2, order:4, head:1
@@ -12,16 +17,16 @@
 //   bytes 4-11  two 32-bit words
 // The two words are {owner, owner_slot} on every frame except a listed
 // free chunk head below kMaxPageOrder, where they are its free-list
-// {next, prev} (link()/set_link()).  Nothing is lost: a free head has no
-// owner (its owner words would read {kNoOwner, 0}, and unlinking it in
-// Zone::ListRemove writes exactly that back), and no frame but a listed
-// head has a link to keep.  Max-order chunk heads keep their links in a
-// MemMap side table instead, so a block whose chunks sit on a free list
-// needs no Page at all.
+// {next, prev} (link()/set_link()) — for an order-9 head, in its
+// granule's record.  Nothing is lost: a free head has no owner (its owner
+// words would read {kNoOwner, 0}, and unlinking it in Zone::ListRemove
+// writes exactly that back), and no frame but a listed head has a link to
+// keep.  Max-order chunk heads keep their links in a MemMap side table.
 #ifndef SQUEEZY_MM_PAGE_H_
 #define SQUEEZY_MM_PAGE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 namespace squeezy {
@@ -82,7 +87,16 @@ struct Page {
   }
 };
 static_assert(sizeof(Page) <= 12, "Page must stay 12 bytes per 4 KiB frame");
-static_assert(std::is_trivially_copyable_v<Page>, "chunks are stamped by copy");
+static_assert(std::is_trivially_copyable_v<Page>, "frames are stamped by copy");
+
+// Sets pages[0..n) (raw or constructed storage) to `value`, copying its
+// bytes: an element-wise assignment of the bit-field struct can compile
+// to a store-forwarding stall per frame.
+inline void FillPages(Page* pages, uint32_t n, const Page& value) {
+  for (uint32_t i = 0; i < n; ++i) {
+    std::memcpy(static_cast<void*>(pages + i), &value, sizeof(Page));
+  }
+}
 
 struct FolioRef {
   Pfn head = kInvalidPfn;

@@ -6,31 +6,6 @@
 #include <vector>
 
 namespace squeezy {
-namespace {
-
-// Frames in one max-order chunk; a block is 32 of them.
-constexpr uint32_t kMaxChunkPages = 1u << kMaxPageOrder;
-
-// Splits [start, start + npages) at block boundaries.  `whole(b)` is
-// offered each block the range covers entirely and returns whether it
-// handled the block on its own; every other piece goes to
-// `segment(begin, end)`, which never crosses a block boundary.
-template <typename WholeFn, typename SegmentFn>
-void ForEachBlockSegment(Pfn start, uint64_t npages, WholeFn&& whole, SegmentFn&& segment) {
-  const uint64_t end = start + npages;
-  for (uint64_t seg = start; seg < end;) {
-    const BlockIndex b = MemMap::BlockOf(static_cast<Pfn>(seg));
-    const uint64_t block_end = MemMap::BlockStart(b) + uint64_t{kPagesPerBlock};
-    const uint64_t seg_end = std::min(end, block_end);
-    if (seg_end - seg < kPagesPerBlock || !whole(b)) {
-      segment(static_cast<Pfn>(seg), static_cast<Pfn>(seg_end));
-    }
-    seg = seg_end;
-  }
-}
-
-}  // namespace
-
 const char* ZoneTypeName(ZoneType t) {
   switch (t) {
     case ZoneType::kNormal:
@@ -54,11 +29,24 @@ FreeLink Zone::LinkAt(uint8_t order, Pfn pfn) const {
   return order == kMaxPageOrder ? map().max_link(pfn) : map().page(pfn).link();
 }
 
+Page& Zone::HeadFrame(uint8_t order, Pfn pfn) {
+  // A chunk of order >= kThpOrder heads a granule: write its record (or
+  // frame 0) without materializing the granule.
+  return order >= kThpOrder ? memmap_->GranuleHead(pfn) : memmap_->page(pfn);
+}
+
+Page Zone::IsolatedFrame() const {
+  Page p;
+  p.state = PageState::kIsolated;
+  p.zone_id = id_;
+  return p;
+}
+
 void Zone::SetLink(uint8_t order, Pfn pfn, const FreeLink& link) {
   if (order == kMaxPageOrder) {
     memmap_->max_link(pfn) = link;
   } else {
-    memmap_->page(pfn).set_link(link);
+    HeadFrame(order, pfn).set_link(link);
   }
 }
 
@@ -117,7 +105,7 @@ void Zone::ListRemove(uint8_t order, Pfn pfn) {
   if (order == kMaxPageOrder) {
     memmap_->max_link(pfn) = FreeLink{};
   } else {
-    memmap_->page(pfn).clear_link();
+    HeadFrame(order, pfn).clear_link();
   }
   assert(area.nr_free > 0);
   --area.nr_free;
@@ -134,18 +122,12 @@ Pfn Zone::ListPopFront(uint8_t order) {
 }
 
 void Zone::StampFreeChunk(Pfn pfn, uint8_t order) {
-  const uint32_t n = 1u << order;
-  Page* pages = &memmap_->page(pfn);  // Chunks never span blocks.
-  for (uint32_t i = 0; i < n; ++i) {
-    Page& p = pages[i];
-    p.state = PageState::kFree;
-    p.kind = PageKind::kNone;
-    p.head = (i == 0);
-    p.order = order;
-    p.zone_id = id_;
-    p.owner = kNoOwner;
-    p.owner_slot = 0;
-  }
+  Page head;
+  head.state = PageState::kFree;
+  head.order = order;
+  head.head = true;
+  head.zone_id = id_;
+  memmap_->SetChunk(pfn, order, head);
 }
 
 void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
@@ -160,8 +142,7 @@ void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
     if (bp.state != PageState::kFree || !bp.head || bp.order != order || bp.zone_id != id_) {
       break;
     }
-    ListRemove(order, buddy);
-    memmap_->page(buddy).head = false;
+    ListRemove(order, buddy);  // The stamp below rewrites its frames.
     pfn = std::min(pfn, buddy);
     ++order;
   }
@@ -187,25 +168,21 @@ void Zone::InsertFreeChunk(Pfn pfn, uint8_t order, bool fresh) {
 }
 
 void Zone::AddFreeRange(Pfn start, uint64_t npages) {
-  // Attribute pages to this zone first: a whole summarized offline block
-  // in one step (its frames then read as free max-order chunks), any other
-  // frame one by one.
-  ForEachBlockSegment(
-      start, npages,
-      [this](BlockIndex b) {
-        if (map().summary(b) != BlockSummary::kOffline) {
-          return false;
-        }
-        memmap_->Summarize(b, BlockSummary::kFree, id_);
-        return true;
-      },
-      [this](Pfn begin, Pfn end) {
-        Page* pages = &memmap_->page(begin);  // One chunk: the segment is in one block.
-        for (Pfn i = 0; i < end - begin; ++i) {
-          assert(pages[i].state == PageState::kOffline);
-          pages[i].zone_id = id_;
-        }
-      });
+  // Attribute pages to this zone first.  A whole granule needs nothing
+  // here: the order >= 9 chunk freed over it below stamps its zone.
+  const uint64_t end = uint64_t{start} + npages;
+  for (uint64_t pfn = start; pfn < end;) {
+    const uint64_t granule_end = std::min<uint64_t>(end, (pfn | (kGranulePages - 1)) + 1);
+    if (granule_end - pfn < kGranulePages) {
+      Page* pages = &memmap_->page(static_cast<Pfn>(pfn));  // One granule.
+      for (uint64_t i = 0; i < granule_end - pfn; ++i) {
+        assert(pages[i].state == PageState::kOffline);
+        pages[i].zone_id = id_;
+      }
+    }
+    assert(map().page(static_cast<Pfn>(pfn)).state == PageState::kOffline);
+    pfn = granule_end;
+  }
   present_pages_ += npages;
   managed_pages_ += npages;
   free_pages_ += npages;
@@ -230,13 +207,7 @@ void Zone::AddFreeRange(Pfn start, uint64_t npages) {
     shuffle_rng_->Shuffle(chunks.begin(), chunks.end());
   }
   for (const auto& [chunk_pfn, chunk_order] : chunks) {
-    if (map().BlockMaterialized(MemMap::BlockOf(chunk_pfn))) {
-      FreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
-    } else {
-      // A kFree summary's chunk already reads as a stamped max-order head
-      // (and cannot coalesce further): only its list position is new.
-      InsertFreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
-    }
+    FreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
   }
 }
 
@@ -261,17 +232,18 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
     ListPushFront(from, upper);
   }
 
+  // The frames' zone is already this one (the per-page path keeps it).
+  assert(map().page(chunk).zone_id == id_);
   const uint32_t n = 1u << order;
-  Page* pages = &memmap_->page(chunk);  // Folios never span blocks.
-  for (uint32_t i = 0; i < n; ++i) {
-    Page& p = pages[i];
-    p.state = PageState::kAllocated;
-    p.kind = kind;
-    p.head = (i == 0);
-    p.order = order;
-    p.owner = (i == 0) ? owner : kNoOwner;
-    p.owner_slot = (i == 0) ? owner_slot : 0;
-  }
+  Page head;
+  head.state = PageState::kAllocated;
+  head.kind = kind;
+  head.order = order;
+  head.head = true;
+  head.zone_id = id_;
+  head.owner = owner;
+  head.owner_slot = owner_slot;
+  memmap_->SetChunk(chunk, order, head);
   assert(free_pages_ >= n);
   free_pages_ -= n;
   memmap_->AdjustBlockAllocated(chunk, n);
@@ -288,6 +260,12 @@ uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32
   // smallest first, each on a list that was empty (every order below the
   // popped one was).  After a whole chunk the lower orders are still
   // empty, so the search resumes at the same order.
+  Page frame;  // Every taken frame is an order-0 head; its zone is kept.
+  frame.state = PageState::kAllocated;
+  frame.kind = kind;
+  frame.head = true;
+  frame.zone_id = id_;
+  frame.owner = owner;
   uint64_t done = 0;
   uint8_t from = 0;
   while (done < n) {
@@ -300,16 +278,18 @@ uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32
     const Pfn chunk = ListPopFront(from);
     const uint32_t size = 1u << from;
     const uint32_t take = static_cast<uint32_t>(std::min<uint64_t>(n - done, size));
-    Page* pages = &memmap_->page(chunk);  // Chunks never span blocks.
-    for (uint32_t i = 0; i < take; ++i) {
-      Page& p = pages[i];
-      p.state = PageState::kAllocated;
-      p.kind = kind;
-      p.head = true;
-      p.order = 0;
-      p.owner = owner;
-      p.owner_slot = slots[done + i];
-      out[done + i] = chunk + i;
+    // A granule at a time (a chunk below THP order lies in one granule, a
+    // larger one starts at a granule): a granule taken whole is written
+    // once, a partly taken one materializes first.
+    for (uint32_t g = 0; g < take; g += kGranulePages) {
+      const uint32_t stop = std::min(take - g, kGranulePages);
+      Page* pages = stop == kGranulePages ? memmap_->FramesToOverwrite(chunk + g)
+                                          : &memmap_->page(chunk + g);
+      FillPages(pages, stop, frame);
+      for (uint32_t i = 0; i < stop; ++i) {
+        pages[i].owner_slot = slots != nullptr ? slots[done + g + i] : 0;
+        out[done + g + i] = chunk + g + i;
+      }
     }
     const uint32_t tail = size - take;
     Pfn piece = chunk + take;
@@ -329,7 +309,7 @@ uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32
 }
 
 void Zone::Free(Pfn head) {
-  Page& p = memmap_->page(head);
+  const Page p = map().page(head);
   assert(p.state == PageState::kAllocated && p.head);
   assert(p.zone_id == id_);
   const uint8_t order = p.order;
@@ -339,76 +319,37 @@ void Zone::Free(Pfn head) {
 }
 
 void Zone::FreeIntoIsolation(Pfn head) {
-  Page& p = memmap_->page(head);
+  const Page p = map().page(head);
   assert(p.state == PageState::kAllocated && p.head);
   assert(p.zone_id == id_);
   const uint32_t n = 1u << p.order;
   memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(n));
-  for (uint32_t i = 0; i < n; ++i) {
-    Page& q = (&p)[i];  // Folios never span blocks.
-    q.state = PageState::kIsolated;
-    q.kind = PageKind::kNone;
-    q.head = false;
-    q.order = 0;
-    q.owner = kNoOwner;
-    q.owner_slot = 0;
-  }
+  memmap_->SetChunk(head, p.order, IsolatedFrame());
   // Isolated pages no longer count as allocatable; they were allocated, so
   // free_pages_ is unchanged.
 }
 
 uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
+  // Free chunk heads are what gets isolated; a uniform granule without one
+  // is stepped over in one move.
   uint64_t isolated = 0;
-  ForEachBlockSegment(
-      start, npages,
-      [this, &isolated](BlockIndex b) {
-        // A kFree summary, or a materialized block whose allocations all
-        // went away: either way every frame is free, in exactly the
-        // block's 32 listed max-order chunks, and isolating it leaves
-        // uniform kIsolated frames — so the chunk goes.
-        const BlockSummary s = map().summary(b);
-        const bool whole_free = s == BlockSummary::kMaterialized ? WholeBlockFree(b)
-                                                                 : s == BlockSummary::kFree;
-        if (!whole_free) {
-          return false;
-        }
-        assert(s == BlockSummary::kMaterialized || map().summary_zone(b) == id_);
-        const Pfn first = MemMap::BlockStart(b);
-        for (Pfn chunk = first; chunk < first + kPagesPerBlock; chunk += kMaxChunkPages) {
-          ListRemove(kMaxPageOrder, chunk);
-        }
-        memmap_->Summarize(b, BlockSummary::kIsolated, id_);
-        isolated += kPagesPerBlock;
-        return true;
-      },
-      [this, &isolated](Pfn begin, Pfn end) {
-        const BlockIndex b = MemMap::BlockOf(begin);
-        if (!map().BlockMaterialized(b) && map().summary(b) != BlockSummary::kFree) {
-          return;  // A summary without free frames: nothing to isolate.
-        }
-        Page* pages = &memmap_->page(begin);  // One chunk: the segment is in one block.
-        Pfn pfn = begin;
-        while (pfn < end) {
-          const Page& p = pages[pfn - begin];
-          if (p.state == PageState::kFree && p.head) {
-            const uint8_t order = p.order;
-            const uint32_t n = 1u << order;
-            assert(pfn + n <= end && "free chunks never straddle block boundaries");
-            ListRemove(order, pfn);
-            for (uint32_t i = 0; i < n; ++i) {
-              Page& q = pages[pfn - begin + i];
-              q.state = PageState::kIsolated;
-              q.head = false;
-              q.order = 0;
-            }
-            isolated += n;
-            pfn += n;
-          } else {
-            assert(p.state != PageState::kFree && "tail free page without a head in range");
-            ++pfn;
-          }
-        }
-      });
+  const Pfn end = start + static_cast<Pfn>(npages);
+  Pfn pfn = start;
+  while (pfn < end) {
+    const Page p = map().page(pfn);
+    if (p.state != PageState::kFree || !p.head) {
+      assert(p.state != PageState::kFree && "tail free page without a head in range");
+      pfn = std::min(map().NextDistinct(pfn), end);
+      continue;
+    }
+    const uint8_t order = p.order;
+    const uint32_t n = 1u << order;
+    assert(pfn + n <= end && "free chunks never straddle the range");
+    ListRemove(order, pfn);  // Leaves the head ownerless, like its tails.
+    memmap_->SetChunk(pfn, order, IsolatedFrame());
+    isolated += n;
+    pfn += n;
+  }
   assert(free_pages_ >= isolated);
   free_pages_ -= isolated;
   return isolated;
@@ -420,12 +361,12 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
   const Pfn end = start + static_cast<Pfn>(npages);
   while (pfn < end) {
     if (map().page(pfn).state != PageState::kIsolated) {
-      ++pfn;
+      pfn = std::min(map().NextDistinct(pfn), end);
       continue;
     }
     Pfn run_end = pfn;
     while (run_end < end && map().page(run_end).state == PageState::kIsolated) {
-      ++run_end;
+      run_end = std::min(map().NextDistinct(run_end), end);
     }
     uint64_t remaining = run_end - pfn;
     free_pages_ += remaining;
@@ -442,37 +383,21 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
 }
 
 void Zone::RetireRange(Pfn start, uint64_t npages) {
-  // Offline works a block at a time.  Every frame of a block is isolated
-  // by now (the precondition), so it retires to a uniform kOffline
-  // summary whether or not it was materialized — the blocks migration
-  // emptied included.
+  // Offline works a block at a time: every frame of a block is isolated
+  // by now (the precondition), so it retires to 64 uniform offline
+  // granules, whatever frames it had.
   assert(start % kPagesPerBlock == 0 && npages % kPagesPerBlock == 0);
+  Page offline;
+  offline.state = PageState::kOffline;
   const BlockIndex first = MemMap::BlockOf(start);
   for (BlockIndex b = first; b < first + npages / kPagesPerBlock; ++b) {
     assert(map().CountBlockPages(b, PageState::kIsolated) == kPagesPerBlock);
     assert(map().page(MemMap::BlockStart(b)).zone_id == id_);
-    memmap_->Summarize(b, BlockSummary::kOffline);
+    memmap_->SetBlock(b, offline);
   }
   assert(present_pages_ >= npages && managed_pages_ >= npages);
   present_pages_ -= npages;
   managed_pages_ -= npages;
-}
-
-bool Zone::WholeBlockFree(BlockIndex b) const {
-  if (map().BlockOccupied(b) != 0) {
-    return false;
-  }
-  // Eager coalescing leaves an empty block as its 32 max-order chunks; a
-  // block with frames isolated, offline or in another zone is not whole.
-  const Pfn first = MemMap::BlockStart(b);
-  for (Pfn chunk = first; chunk < first + kPagesPerBlock; chunk += kMaxChunkPages) {
-    const Page p = map().page(chunk);
-    if (p.state != PageState::kFree || !p.head || p.order != kMaxPageOrder ||
-        p.zone_id != id_) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void Zone::ShuffleFreeLists(Rng& rng) {

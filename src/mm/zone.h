@@ -3,10 +3,25 @@
 // Mirrors the Linux design the paper builds on: hot-plugged memory is
 // onlined into ZONE_MOVABLE (or, under Squeezy, into a per-partition
 // zone); the buddy allocator serves folios of order 0..kMaxPageOrder from
-// intrusive per-order free lists.  Sub-max-order lists thread through the
-// owner words of the memmap's free Page heads (page.h); the max-order list
-// threads through the MemMap's link side table, so whole blocks can sit on
-// it as summaries (memmap.h).
+// intrusive per-order free lists.  The max-order list threads through the
+// MemMap's link side table; the order-9 list through the owner words of
+// its heads' granule records; smaller orders through the owner words of
+// their free head frames (page.h, memmap.h).
+//
+// Granules.  Work at order >= kThpOrder writes granule records, not
+// frames: Alloc and Free/FreeChunk of a THP or max-order folio,
+// FreeIntoIsolation of one, and the isolation or retirement of such a
+// chunk each write one or two records (and free the granule's frames if
+// it had any).  Below order 9 the zone materializes the one granule
+// involved and runs the per-page code; AllocPages materializes granules
+// as it takes their frames.  So onlining, isolating and retiring a block
+// whose chunks were never split costs O(64) record writes, and the range
+// walks (IsolateFreeRange, UndoIsolation, migration's scan) step over a
+// uniform granule in one move.  The free-list order and the shuffle RNG's
+// draws are exactly those of the per-page allocator.  Every read a zone
+// makes without intending to write goes through the memmap's const
+// accessor, so inspection (CheckFreeLists, ShuffleFreeLists, coalescing
+// probes) never materializes anything.
 //
 // Run allocation.  AllocPages hands out n order-0 pages in one call with
 // exactly the picks, frame states, free-list order and counters of n
@@ -17,22 +32,6 @@
 // are pulled out of the free lists (kIsolated) so concurrent allocations
 // cannot land in a block that is going away, occupied folios are migrated
 // out, and finally the fully-isolated range is retired (kOffline).
-//
-// Summarized blocks.  Each range operation works block by block.  A whole
-// block that is summarized takes the block-level path: AddFreeRange
-// (kOffline -> kFree) and IsolateFreeRange (kFree -> kIsolated) only link
-// or unlink its 32 max-order chunks.  The offline path also summarizes
-// materialized blocks again: IsolateFreeRange takes a whole block whose
-// allocations all went away (its 32 max-order chunks, checked from their
-// heads) and frees its chunk.  RetireRange takes whole blocks only and
-// drops each to a kOffline summary in O(1), materialized or not, since
-// every frame is isolated by then.  The free-list order and the shuffle
-// RNG's draws are exactly those of the per-page path.  Any other range,
-// and the first Alloc that pops a kFree block's chunk, materializes the
-// block (one stamping pass) and continues per page; Free never
-// re-summarizes.  Every read a zone makes without intending to write goes
-// through the memmap's const accessor, so inspection (CheckFreeLists,
-// ShuffleFreeLists, coalescing probes) never materializes anything.
 #ifndef SQUEEZY_MM_ZONE_H_
 #define SQUEEZY_MM_ZONE_H_
 
@@ -83,8 +82,8 @@ class Zone {
   // Returns isolated pages in the range to the buddy (offline abort).
   void UndoIsolation(Pfn start, uint64_t npages);
 
-  // Retires fully-isolated whole blocks from the zone (-> kOffline summary,
-  // zone stats shrink).  start and npages are block-aligned, and every page
+  // Retires fully-isolated whole blocks from the zone (-> uniform kOffline
+  // granules, zone stats shrink).  start and npages are block-aligned, and every page
   // in the range must be kIsolated.
   void RetireRange(Pfn start, uint64_t npages);
 
@@ -93,8 +92,9 @@ class Zone {
   // zone cannot satisfy the request.
   Pfn Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot);
 
-  // Allocates n order-0 pages, page i owned by (owner, slots[i]), and
-  // writes their pfns to out[0..n).  Returns how many it allocated, fewer
+  // Allocates n order-0 pages, page i owned by (owner, slots[i]) — slot 0
+  // for every page when `slots` is null — and writes their pfns to
+  // out[0..n).  Returns how many it allocated, fewer
   // than n only when the zone ran out.  Equivalent, frame for frame and
   // list for list, to n Alloc(0, kind, owner, slots[i]) calls.
   uint64_t AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32_t* slots,
@@ -136,6 +136,8 @@ class Zone {
 
   // The free-list links of a listed chunk head of `order`.
   FreeLink LinkAt(uint8_t order, Pfn pfn) const;
+  // The frame that holds a listed head's links below kMaxPageOrder.
+  Page& HeadFrame(uint8_t order, Pfn pfn);
   void SetLink(uint8_t order, Pfn pfn, const FreeLink& link);
   void SetNext(uint8_t order, Pfn pfn, Pfn next);
   void SetPrev(uint8_t order, Pfn pfn, Pfn prev);
@@ -154,9 +156,8 @@ class Zone {
   void InsertFreeChunk(Pfn pfn, uint8_t order, bool fresh);
   // Marks the frames of a chunk as a free chunk (head/tails).
   void StampFreeChunk(Pfn pfn, uint8_t order);
-  // Whether materialized block b is entirely free in this zone, as its 32
-  // listed max-order chunks.  O(32).
-  bool WholeBlockFree(BlockIndex b) const;
+  // An isolated frame of this zone.
+  Page IsolatedFrame() const;
 
   int16_t id_;
   ZoneType type_;

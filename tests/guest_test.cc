@@ -420,10 +420,10 @@ TEST_F(GuestTest, PartialRestoreWorkingSetMatchesPerPageFaults) {
 TEST_F(GuestTest, BlockZoneReadsSummarizedBlockWithoutMaterializing) {
   ASSERT_TRUE(guest_->PlugMemory(MiB(256), 0).complete);
   const BlockIndex b = guest_->hotplug_first_block();
-  const uint32_t before = guest_->memmap().materialized_blocks();
+  const uint32_t before = guest_->memmap().materialized_granules();
   EXPECT_FALSE(guest_->memmap().BlockMaterialized(b));
   EXPECT_EQ(guest_->BlockZone(b), &guest_->movable_zone());
-  EXPECT_EQ(guest_->memmap().materialized_blocks(), before);
+  EXPECT_EQ(guest_->memmap().materialized_granules(), before);
 }
 
 TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
@@ -463,7 +463,7 @@ TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
   EXPECT_FALSE(guest.memmap().host_populated(MemMap::BlockStart(hole)));
   // A present, untouched block is warmed in its bitmap and stays a summary.
   EXPECT_FALSE(guest.memmap().BlockMaterialized(plugged));
-  EXPECT_EQ(guest.memmap().summary(plugged), BlockSummary::kFree);
+  EXPECT_EQ(guest.memmap().CountBlockPages(plugged, PageState::kFree), kPagesPerBlock);
   const Pfn last = MemMap::BlockStart(plugged) + kPagesPerBlock - 1;
   EXPECT_TRUE(guest.memmap().host_populated(last));
 }

@@ -117,6 +117,34 @@ TEST_F(HypervisorTest, BalloonReleaseAccountsPages) {
   EXPECT_EQ(host_.populated(), 0u);
 }
 
+TEST_F(HypervisorTest, GroupedBalloonReportsBookLikeSeparateReports) {
+  // N same-instant balloon reports booked as one call leave every book as
+  // N calls would, zero-page reports (a timeline marker) included.
+  HostMemory twin_host(GiB(8));
+  CpuAccountant twin_cpu(Sec(1));
+  Hypervisor twin(&twin_host, &cost_, &twin_cpu);
+  const VmId vm = hv_.RegisterVm("vm", 1);
+  const VmId twin_vm = twin.RegisterVm("vm", 1);
+  hv_.NestedFaultPopulate(vm, 1, MiB(4), 0);
+  twin.NestedFaultPopulate(twin_vm, 1, MiB(4), 0);
+  const TimeNs now = Sec(3) - 10;
+  for (const uint64_t pages : {uint64_t{cost_.balloon_batch_pages}, uint64_t{7}, uint64_t{0}}) {
+    DurationNs separate = 0;
+    for (int i = 0; i < 3; ++i) {
+      separate += twin.BalloonRelease(twin_vm, pages, now);
+    }
+    EXPECT_EQ(hv_.BalloonRelease(vm, pages, now, 3), separate);
+  }
+  EXPECT_EQ(hv_.stats(vm).exits, twin.stats(twin_vm).exits);
+  EXPECT_EQ(hv_.stats(vm).exit_time, twin.stats(twin_vm).exit_time);
+  EXPECT_EQ(hv_.stats(vm).populated_bytes, twin.stats(twin_vm).populated_bytes);
+  EXPECT_EQ(host_.populated_series().points().size(),
+            twin_host.populated_series().points().size());
+  EXPECT_EQ(host_.populated(), twin_host.populated());
+  EXPECT_EQ(cpu_.Series("vmm/vm"), twin_cpu.Series("vmm/vm"));
+  EXPECT_EQ(cpu_.TotalBusy("vmm/vm"), twin_cpu.TotalBusy("vmm/vm"));
+}
+
 TEST_F(HypervisorTest, ReleaseAllPopulatedOnTeardown) {
   const VmId vm = hv_.RegisterVm("vm", 1);
   hv_.NestedFaultPopulate(vm, 10, MiB(20), 0);

@@ -176,7 +176,7 @@ TEST_F(HotplugTest, UntouchedBlockCycleMaterializesNoChunk) {
   EXPECT_EQ(mgr_->HotRemoveBlock(2, &bd, 0), cost_.block_unplug_exit);
   EXPECT_EQ(memmap_->block_state(2), BlockState::kAbsent);
   EXPECT_EQ(zone_->managed_pages(), 0u);
-  EXPECT_EQ(memmap_->materialized_peak_blocks(), 0u);
+  EXPECT_EQ(memmap_->materialized_peak_granules(), 0u);
 }
 
 TEST_F(HotplugTest, BreakdownTotalSumsSlices) {

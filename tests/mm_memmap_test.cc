@@ -97,12 +97,12 @@ TEST(MemMapTest, ConstReadsNeverMaterialize) {
   const MemMap& cm = m;
   // A fresh map holds no chunks at all: span RSS is bounded by touch, not
   // by span size.
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
   for (Pfn pfn = 0; pfn < cm.span_pages(); pfn += kPagesPerBlock / 3) {
     EXPECT_EQ(cm.page(pfn).state, PageState::kHole);
     EXPECT_FALSE(cm.host_populated(pfn));
   }
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
   EXPECT_EQ(m.materialized_bytes(), 0u);
   for (BlockIndex b = 0; b < m.block_count(); ++b) {
     EXPECT_FALSE(m.BlockMaterialized(b));
@@ -114,11 +114,11 @@ TEST(MemMapTest, MutableTouchMaterializesOneChunk) {
   Page& p = m.page(MemMap::BlockStart(3) + 7);
   // First mutable touch sees the flat array's initial state.
   EXPECT_EQ(p.state, PageState::kHole);
-  EXPECT_EQ(m.materialized_blocks(), 1u);
+  EXPECT_EQ(m.materialized_granules(), 1u);
   EXPECT_TRUE(m.BlockMaterialized(3));
   EXPECT_FALSE(m.BlockMaterialized(2));
-  EXPECT_EQ(m.materialized_bytes(), MemMap::ChunkBytes());
-  EXPECT_EQ(m.materialized_peak_blocks(), 1u);
+  EXPECT_EQ(m.materialized_bytes(), MemMap::GranuleBytes());
+  EXPECT_EQ(m.materialized_peak_granules(), 1u);
 }
 
 TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
@@ -126,14 +126,14 @@ TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
   // tearing down — the chunk's sim memory must come back.
   MemMap m(GiB(1));
   m.InitBlock(0);
-  EXPECT_EQ(m.materialized_blocks(), 0u);  // A hot-added block is a summary.
+  EXPECT_EQ(m.materialized_granules(), 0u);  // A hot-added block is a summary.
   m.page(5);  // A mutable touch materializes it.
-  EXPECT_EQ(m.materialized_blocks(), 1u);
+  EXPECT_EQ(m.materialized_granules(), 1u);
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
   EXPECT_FALSE(m.BlockMaterialized(0));
-  EXPECT_EQ(m.materialized_blocks(), 0u);
-  EXPECT_EQ(m.materialized_peak_blocks(), 1u);  // Peak is sticky.
+  EXPECT_EQ(m.materialized_granules(), 0u);
+  EXPECT_EQ(m.materialized_peak_granules(), 1u);  // Peak is sticky.
   // The freed block reads as holes again and can be re-initialized.
   const MemMap& cm = m;
   EXPECT_EQ(cm.page(0).state, PageState::kHole);
@@ -152,7 +152,7 @@ TEST(MemMapTest, TeardownFreesChunkWhileHostBackingSurvives) {
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
   EXPECT_FALSE(m.BlockMaterialized(0));
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
   EXPECT_TRUE(m.host_populated(17));
   EXPECT_TRUE(m.host_populated(19));
   EXPECT_EQ(m.ClearHostPopulated(0), 3u);
@@ -184,22 +184,27 @@ TEST(MemMapTest, UntouchedBlockCycleMaterializesNothing) {
     Zone zone(0, ZoneType::kMovable, "z", &m, shuffled ? &rng : nullptr);
     const Pfn start = MemMap::BlockStart(2);
     m.InitBlock(2);
-    EXPECT_EQ(m.summary(2), BlockSummary::kOffline);
+    EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), kPagesPerBlock);
+    EXPECT_FALSE(m.BlockMaterialized(2));
     zone.AddFreeRange(start, kPagesPerBlock);
-    EXPECT_EQ(m.summary(2), BlockSummary::kFree);
+    EXPECT_EQ(m.CountBlockPages(2, PageState::kFree), kPagesPerBlock);
+    EXPECT_FALSE(m.BlockMaterialized(2));
     EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 32u);
     EXPECT_TRUE(zone.CheckFreeLists());
     EXPECT_EQ(zone.IsolateFreeRange(start, kPagesPerBlock), static_cast<uint64_t>(kPagesPerBlock));
-    EXPECT_EQ(m.summary(2), BlockSummary::kIsolated);
+    EXPECT_EQ(m.CountBlockPages(2, PageState::kIsolated), kPagesPerBlock);
+    EXPECT_FALSE(m.BlockMaterialized(2));
     EXPECT_EQ(zone.free_pages(), 0u);
     zone.RetireRange(start, kPagesPerBlock);
-    EXPECT_EQ(m.summary(2), BlockSummary::kOffline);
+    EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), kPagesPerBlock);
+    EXPECT_FALSE(m.BlockMaterialized(2));
     EXPECT_EQ(zone.managed_pages(), 0u);
     EXPECT_EQ(m.ClearHostPopulated(2), 0u);
     m.set_block_state(2, BlockState::kOffline);
     m.TeardownBlock(2);
-    EXPECT_EQ(m.summary(2), BlockSummary::kHole);
-    EXPECT_EQ(m.materialized_peak_blocks(), 0u);
+    EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), kPagesPerBlock);
+    EXPECT_FALSE(m.BlockMaterialized(2));
+    EXPECT_EQ(m.materialized_peak_granules(), 0u);
   }
 }
 
@@ -220,19 +225,19 @@ TEST(MemMapTest, ConstReadsSynthesizeSummaryFrames) {
   EXPECT_FALSE(t.head);
   EXPECT_EQ(t.order, kMaxPageOrder);
   EXPECT_EQ(cm.FolioHead(head + 77), head);
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
   // Materializing stamps exactly the frames the summary synthesized.
   EXPECT_EQ(m.page(head).head, true);
   EXPECT_EQ(m.page(head + 1).head, false);
   EXPECT_EQ(m.page(head + 1).zone_id, 3);
-  EXPECT_EQ(m.materialized_blocks(), 1u);
+  EXPECT_EQ(m.materialized_granules(), 1u);
 }
 
 TEST(MemMapTest, CountBlockPagesOnAbsentChunk) {
   MemMap m(GiB(1));
   EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), static_cast<uint64_t>(kPagesPerBlock));
   EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), 0u);
-  EXPECT_EQ(m.materialized_blocks(), 0u);  // Counting must not materialize.
+  EXPECT_EQ(m.materialized_granules(), 0u);  // Counting must not materialize.
 }
 
 TEST(MemMapTest, CountBlockPagesOnSummarizedBlocks) {
@@ -243,12 +248,12 @@ TEST(MemMapTest, CountBlockPagesOnSummarizedBlocks) {
   Zone zone(0, ZoneType::kMovable, "z", &m);
   Zone twin_zone(0, ZoneType::kMovable, "z", &twin);
   auto expect_same = [&](BlockIndex b) {
-    const uint32_t before = m.materialized_blocks();
+    const uint32_t before = m.materialized_granules();
     for (const PageState st : {PageState::kHole, PageState::kFree, PageState::kAllocated,
                                PageState::kIsolated, PageState::kOffline}) {
       EXPECT_EQ(m.CountBlockPages(b, st), twin.CountBlockPages(b, st));
     }
-    EXPECT_EQ(m.materialized_blocks(), before);
+    EXPECT_EQ(m.materialized_granules(), before);
   };
   for (BlockIndex b = 0; b < 3; ++b) {
     m.InitBlock(b);
@@ -263,9 +268,10 @@ TEST(MemMapTest, CountBlockPagesOnSummarizedBlocks) {
   twin_zone.IsolateFreeRange(MemMap::BlockStart(2), kPagesPerBlock);
   expect_same(2);
   expect_same(5);
-  EXPECT_EQ(m.materialized_blocks(), 0u);
-  // The twin's block 2 was empty at isolate: it re-summarizes there.
-  EXPECT_EQ(twin.materialized_blocks(), 2u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
+  // Onlining stamps the twin's blocks 1 and 2 as max-order chunks, which
+  // drops their touched granules; only offline block 0 keeps its frames.
+  EXPECT_EQ(twin.materialized_granules(), 1u);
 }
 
 TEST(MemMapTest, PopulateRangeCountsNewFramesAcrossBlocks) {
@@ -287,7 +293,7 @@ TEST(MemMapTest, PopulateRangeCountsNewFramesAcrossBlocks) {
   EXPECT_EQ(m.ClearHostPopulated(1), 70u);
   EXPECT_EQ(m.ClearHostPopulated(2), 163u);
   // Backing never touches the chunks.
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
 }
 
 TEST(MemMapTest, PopulateWholeBlock) {

@@ -1,12 +1,15 @@
-// Oracle fuzz for the block-summary MemMap and the 12-byte Page: the
+// Oracle fuzz for the granule-map MemMap and the 12-byte Page: the
 // production MemMap + Zone and the per-page oracle (flat_mm_oracle.h) run
 // the same random sequence of plug / online (shuffled and unshuffled
 // zones) / Alloc at orders 0, 9 and 10 / AllocPages runs (against one
 // oracle Alloc(0) per page) / Free / isolate / UndoIsolation /
 // FreeIntoIsolation / retire / hot-remove / ShuffleFreeLists operations,
+// directed THP cases (an order-0 folio split beside an order-9 one and
+// both freed back, listed order-9 heads shuffled, an order-10 folio freed
+// into isolation, a partial isolate that cuts granules),
 // host backing set over ranges that cross block boundaries and dropped
 // frame by frame, and the whole offline of a block emptied while
-// materialized (which must return it to summaries).  Every returned pfn
+// materialized (which must drop all its frames).  Every returned pfn
 // and count, every zone counter and every frame (state, ownership, host
 // backing and free-list links, read without materializing) must agree.
 #include <gtest/gtest.h>
@@ -130,7 +133,7 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
   };
 
   for (int step = 0; step < kSteps; ++step) {
-    switch (rng.UniformInt(0, 14)) {
+    switch (rng.UniformInt(0, 17)) {
       case 0: {  // Plug.
         const int64_t b = pick_block(Model::kAbsent);
         if (b >= 0) {
@@ -346,16 +349,121 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         m.page(start);  // Materialize it if nothing had.
         ASSERT_EQ(zones[z]->IsolateFreeRange(start, kPagesPerBlock),
                   ozones[z]->IsolateFreeRange(start, kPagesPerBlock));
-        ASSERT_EQ(m.summary(bi), BlockSummary::kIsolated) << "step " << step;
+        ASSERT_EQ(m.CountBlockPages(bi, PageState::kIsolated), kPagesPerBlock) << "step " << step;
         ASSERT_FALSE(m.BlockMaterialized(bi)) << "step " << step;
         zones[z]->RetireRange(start, kPagesPerBlock);
         ozones[z]->RetireRange(start, kPagesPerBlock);
-        ASSERT_EQ(m.summary(bi), BlockSummary::kOffline) << "step " << step;
+        ASSERT_EQ(m.CountBlockPages(bi, PageState::kOffline), kPagesPerBlock) << "step " << step;
         const uint64_t cleared = m.ClearHostPopulated(bi);
         m.set_block_state(bi, BlockState::kOffline);
         m.TeardownBlock(bi);
         ASSERT_EQ(cleared, o.ClearAndTeardownBlock(bi)) << "step " << step;
         model[bi] = Model::kAbsent;
+        break;
+      }
+      case 15: {  // An order-0 folio beside a THP folio, maybe both freed back.
+        const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        const uint32_t slot = static_cast<uint32_t>(step);
+        const Pfn thp = zones[z]->Alloc(kThpOrder, PageKind::kAnon, 5, slot);
+        ASSERT_EQ(thp, ozones[z]->Alloc(kThpOrder, PageKind::kAnon, 5, slot)) << "step " << step;
+        if (thp == kInvalidPfn) {
+          break;
+        }
+        live.push_back({thp, kThpOrder, z});
+        if (rng.Chance(0.5)) {  // The THP's free buddy may be a listed order-9 head.
+          Rng a(seed * 37 + static_cast<uint64_t>(step));
+          Rng b(seed * 37 + static_cast<uint64_t>(step));
+          zones[z]->ShuffleFreeLists(a);
+          ozones[z]->ShuffleFreeLists(b);
+        }
+        const Pfn small = zones[z]->Alloc(0, PageKind::kAnon, 5, slot + 1);
+        ASSERT_EQ(small, ozones[z]->Alloc(0, PageKind::kAnon, 5, slot + 1)) << "step " << step;
+        if (small != kInvalidPfn) {
+          live.push_back({small, 0, z});
+        }
+        if (rng.Chance(0.5)) {
+          for (int k = small != kInvalidPfn ? 2 : 1; k > 0; --k) {
+            zones[z]->Free(live.back().head);
+            ozones[z]->Free(live.back().head);
+            live.pop_back();
+          }
+          // What coalesced back to THP order or above is uniform again.
+          const Pfn chunk = thp & ~((1u << kMaxPageOrder) - 1);
+          for (Pfn g = chunk; g < chunk + (1u << kMaxPageOrder); g += kGranulePages) {
+            if (o.page(g).state == PageState::kFree && o.page(g).order >= kThpOrder) {
+              ASSERT_FALSE(m.Materialized(g)) << "granule " << g << " step " << step;
+            }
+          }
+        }
+        break;
+      }
+      case 16: {  // A max-order folio straight into isolation: two granules at once.
+        const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        const uint32_t slot = static_cast<uint32_t>(step);
+        const Pfn got = zones[z]->Alloc(kMaxPageOrder, PageKind::kAnon, 6, slot);
+        ASSERT_EQ(got, ozones[z]->Alloc(kMaxPageOrder, PageKind::kAnon, 6, slot))
+            << "step " << step;
+        if (got == kInvalidPfn) {
+          break;
+        }
+        const BlockIndex bi = MemMap::BlockOf(got);
+        ASSERT_EQ(model[bi], Model::kOnline) << "step " << step;
+        const Pfn start = MemMap::BlockStart(bi);
+        ASSERT_EQ(zones[z]->IsolateFreeRange(start, kPagesPerBlock),
+                  ozones[z]->IsolateFreeRange(start, kPagesPerBlock));
+        model[bi] = Model::kIsolating;
+        zones[z]->FreeIntoIsolation(got);
+        ozones[z]->FreeIntoIsolation(got);
+        ASSERT_FALSE(m.Materialized(got) || m.Materialized(got + kGranulePages))
+            << "step " << step;
+        break;
+      }
+      case 17: {  // Isolate part of a block from inside a THP folio; undo or finish.
+        const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        const uint32_t slot = static_cast<uint32_t>(step);
+        const Pfn thp = zones[z]->Alloc(kThpOrder, PageKind::kAnon, 8, slot);
+        ASSERT_EQ(thp, ozones[z]->Alloc(kThpOrder, PageKind::kAnon, 8, slot)) << "step " << step;
+        if (thp == kInvalidPfn) {
+          break;
+        }
+        live.push_back({thp, kThpOrder, z});
+        const BlockIndex bi = MemMap::BlockOf(thp);
+        ASSERT_EQ(model[bi], Model::kOnline) << "step " << step;
+        const Pfn start = MemMap::BlockStart(bi);
+        const Pfn end = start + kPagesPerBlock;
+        // One end cuts the folio's uniform granule; the other lands
+        // anywhere but inside a free chunk (a cut there moves to its head).
+        auto boundary = [&](Pfn pfn) {
+          if (o.page(pfn).state != PageState::kFree) {
+            return pfn;
+          }
+          for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
+            const Pfn head = pfn & ~((1u << order) - 1);
+            const oracle::FlatPage& f = o.page(head);
+            if (f.state == PageState::kFree && f.head && head + (1u << f.order) > pfn) {
+              return head;
+            }
+          }
+          return pfn;
+        };
+        Pfn lo = thp + static_cast<Pfn>(rng.UniformInt(1, kGranulePages - 1));
+        Pfn hi = boundary(start + static_cast<Pfn>(rng.UniformInt(1, kPagesPerBlock - 1)));
+        if (lo > hi) {
+          std::swap(lo, hi);
+        }
+        ASSERT_EQ(zones[z]->IsolateFreeRange(lo, hi - lo),
+                  ozones[z]->IsolateFreeRange(lo, hi - lo))
+            << "step " << step;
+        if (rng.Chance(0.5)) {
+          zones[z]->UndoIsolation(lo, hi - lo);
+          ozones[z]->UndoIsolation(lo, hi - lo);
+        } else {
+          ASSERT_EQ(zones[z]->IsolateFreeRange(start, lo - start),
+                    ozones[z]->IsolateFreeRange(start, lo - start));
+          ASSERT_EQ(zones[z]->IsolateFreeRange(hi, end - hi),
+                    ozones[z]->IsolateFreeRange(hi, end - hi));
+          model[bi] = Model::kIsolating;
+        }
         break;
       }
     }
@@ -371,14 +479,14 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
       }
     }
     if (step % 10 == 0 || step == kSteps - 1) {
-      const uint32_t materialized = m.materialized_blocks();
+      const uint32_t materialized = m.materialized_granules();
       for (BlockIndex b = 0; b < kBlocks; ++b) {
         ExpectSameBlock(m, o, b, step);
         if (HasFatalFailure()) {
           return;
         }
       }
-      ASSERT_EQ(m.materialized_blocks(), materialized) << "a const read materialized";
+      ASSERT_EQ(m.materialized_granules(), materialized) << "a const read materialized";
     }
   }
 }

@@ -294,12 +294,12 @@ TEST(ZoneSummaryTest, InspectionWalkersAreReadOnlyOnSummaries) {
     twin_zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
   }
   EXPECT_TRUE(zone.CheckFreeLists());
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
   Rng shuffle(9);
   Rng twin_shuffle(9);
   zone.ShuffleFreeLists(shuffle);
   twin_zone.ShuffleFreeLists(twin_shuffle);
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.materialized_granules(), 0u);
   EXPECT_TRUE(zone.CheckFreeLists());
   EXPECT_EQ(zone.free_chunks(kMaxPageOrder), twin_zone.free_chunks(kMaxPageOrder));
   // Same list order: the pick sequences agree (popping materializes).
@@ -309,7 +309,46 @@ TEST(ZoneSummaryTest, InspectionWalkersAreReadOnlyOnSummaries) {
               twin_zone.Alloc(order, PageKind::kAnon, 1, 0));
   }
   EXPECT_TRUE(zone.CheckFreeLists());
-  EXPECT_GT(m.materialized_blocks(), 0u);
+  EXPECT_GT(m.materialized_granules(), 0u);
+}
+
+// A block that only ever holds THP folios is records only: filling it
+// with 64 order-9 folios, freeing them and offlining the whole block
+// writes granule records and never materializes a frame.
+TEST(ZoneGranuleTest, ThpOnlyBlockLifecycleMaterializesNothing) {
+  for (const bool shuffled : {false, true}) {
+    MemMap m(GiB(1));
+    Rng rng(3);
+    Zone zone(0, ZoneType::kMovable, "z", &m, shuffled ? &rng : nullptr);
+    const Pfn start = MemMap::BlockStart(1);
+    m.InitBlock(1);
+    zone.AddFreeRange(start, kPagesPerBlock);
+    std::vector<Pfn> folios;
+    for (uint32_t i = 0; i < kPagesPerBlock / kGranulePages; ++i) {
+      const Pfn pfn = zone.Alloc(kThpOrder, PageKind::kAnon, 4, i);
+      ASSERT_NE(pfn, kInvalidPfn);
+      folios.push_back(pfn);
+    }
+    EXPECT_EQ(zone.Alloc(kThpOrder, PageKind::kAnon, 4, 0), kInvalidPfn);
+    EXPECT_EQ(m.BlockOccupied(1), kPagesPerBlock);
+    EXPECT_TRUE(zone.CheckFreeLists());
+    const MemMap& cm = m;
+    EXPECT_EQ(cm.page(folios[7]).owner_slot, 7u);
+    EXPECT_EQ(cm.page(folios[7] + 1).owner, kNoOwner);
+    EXPECT_EQ(cm.FolioHead(folios[7] + 300), folios[7]);
+    for (const Pfn pfn : folios) {
+      zone.Free(pfn);
+    }
+    EXPECT_TRUE(zone.CheckFreeLists());
+    EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 32u);
+    EXPECT_EQ(zone.IsolateFreeRange(start, kPagesPerBlock), static_cast<uint64_t>(kPagesPerBlock));
+    zone.RetireRange(start, kPagesPerBlock);
+    m.set_block_state(1, BlockState::kOffline);
+    m.TeardownBlock(1);
+    EXPECT_TRUE(zone.CheckFreeLists());
+    EXPECT_EQ(zone.managed_pages(), 0u);
+    EXPECT_EQ(m.materialized_peak_granules(), 0u);
+  }
 }
 
 TEST(ZoneTypeTest, Names) {

@@ -55,6 +55,15 @@ using fig12::kHosts;
 using fig12::kSeed;
 using fig12::TraceConfig;
 
+// The 256-host sharded row as the full snapshot-scan placement decided
+// it, recorded before the scan moved to tests/ as an oracle
+// (tests/placement_scan_oracle.h).  The indexed placement must reproduce
+// it exactly; a deliberate behaviour change re-records these.
+constexpr uint64_t kScanAdmitted256h = 150483;
+constexpr uint64_t kScanEvents256h = 372576;
+constexpr uint64_t kScanDecisions256h = 150483;
+constexpr uint64_t kScanRoutingHash256h = 0xe1a90e4296bb6e86;
+
 struct ComboResult {
   ReclaimPolicy reclaim;
   PlacementPolicy placement;
@@ -64,8 +73,8 @@ struct ComboResult {
   double setup_sec = 0;       // Cluster build + trace gen + SubmitTrace.
   double wall_sec = 0;        // Wall-clock spent inside RunUntil only.
   std::vector<uint64_t> shard_events;  // Per-shard counts (kSharded runs).
-  // Placement-path instrumentation (deterministic: identical under either
-  // placement_impl and any thread count, so all BENCH-safe).
+  // Placement-path instrumentation (deterministic: identical at any
+  // thread count, so all BENCH-safe).
   uint64_t decisions = 0;          // Routing decisions the scheduler took.
   uint64_t index_updates = 0;      // Host deltas the HostIndex absorbed.
   size_t index_max_replicas = 0;   // Widest per-function candidate tree.
@@ -97,7 +106,7 @@ struct ComboResult {
 };
 
 // Optional knobs beyond the sweep's (reclaim, placement, capacity, hosts)
-// axes: the queue implementation A/Bs and the sharded scale-out rows.
+// axes: the event kernel and the sharded scale-out rows.
 struct ComboOpts {
   EventQueue::Impl impl = EventQueue::Impl::kTimerWheel;
   size_t sim_threads = 0;  // kSharded pool width; 0 = SQUEEZY_SIM_THREADS env.
@@ -108,9 +117,6 @@ struct ComboOpts {
   const std::vector<FunctionSpec>* functions = nullptr;
   uint32_t concurrency = kConcurrency;
   uint64_t vm_base = 0;
-  // Which placement machinery decides (identical decisions either way);
-  // kDefault = SQUEEZY_PLACEMENT_IMPL env, like sim_threads above.
-  PlacementImpl placement = PlacementImpl::kDefault;
 };
 
 ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
@@ -120,7 +126,6 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
   ClusterConfig cfg = fig12::SweepConfig(reclaim, placement, host_capacity, hosts);
   cfg.queue_impl = opts.impl;
   cfg.sim_threads = opts.sim_threads;
-  cfg.placement_impl = opts.placement;
   if (opts.vm_base > 0) {
     cfg.host.vm_base_memory = opts.vm_base;
   }
@@ -182,10 +187,8 @@ double PeakRssMib() {
 // cluster trace replicated per host, each arrival expanding into a
 // grant (+1 ms) and completion (+25..250 ms) chain, completions arming
 // 45 s keep-alive timers of which half get cancelled (warm-reuse churn)
-// — replayed through the timer wheel and the old single binary heap
-// with no-op handler bodies.  Both implementations fire the identical
-// event sequence (the determinism contract), so events match exactly
-// and the wall-clock difference is pure queue cost.
+// — replayed through the timer wheel with no-op handler bodies, so the
+// wall clock is pure queue cost.
 struct QueueStormResult {
   uint64_t events = 0;
   double best_events_per_sec = 0;
@@ -211,11 +214,10 @@ struct StormContext {
   }
 };
 
-QueueStormResult RunQueueStorm(EventQueue::Impl impl, size_t hosts,
-                               const std::vector<Invocation>& trace) {
+QueueStormResult RunQueueStorm(size_t hosts, const std::vector<Invocation>& trace) {
   QueueStormResult r;
   for (int rep = 0; rep < 3; ++rep) {  // Best-of-3: wall clock is noisy.
-    EventQueue q(impl);
+    EventQueue q;
     StormContext ctx;
     ctx.q = &q;
     ctx.keepalive.reserve(trace.size() * hosts);
@@ -420,7 +422,8 @@ int main() {
                     TablePrinter::Num(ToMsec(r.fleet.latency_p99), 0),
                     TablePrinter::Num(peak_gib),
                     TablePrinter::Num(r.fleet.committed_gib_seconds, 0),
-                    TablePrinter::Int(static_cast<int64_t>(r.fleet.pending_scaleups_total)),
+                    TablePrinter::Int(
+                        static_cast<int64_t>(r.fleet.pending_scaleups_total)),
                     TablePrinter::Int(static_cast<int64_t>(r.fleet.unplug_failures)),
                     TablePrinter::Int(static_cast<int64_t>(hints))});
       const std::vector<std::string> row = {
@@ -510,13 +513,15 @@ int main() {
                           TablePrinter::Int(static_cast<int64_t>(d.cold_after)),
                           TablePrinter::Int(static_cast<int64_t>(d.migrated)),
                           TablePrinter::Int(static_cast<int64_t>(d.reaped)),
-                          TablePrinter::Num(static_cast<double>(d.wire_bytes_saved) / mib, 0),
+                          TablePrinter::Num(
+                              static_cast<double>(d.wire_bytes_saved) / mib, 0),
                           TablePrinter::Num(
                               static_cast<double>(d.snap_mig_wire_saved) / mib, 0),
-                          TablePrinter::Num(static_cast<double>(d.cold_io_avoided) / mib, 0),
+                          TablePrinter::Num(
+                              static_cast<double>(d.cold_io_avoided) / mib, 0),
                           TablePrinter::Int(static_cast<int64_t>(d.snap_restores)),
-                          TablePrinter::Num(static_cast<double>(d.snap_prefetch_bytes) / mib,
-                                            0)});
+                          TablePrinter::Num(
+                              static_cast<double>(d.snap_prefetch_bytes) / mib, 0)});
       const std::string tag = std::string(ReclaimPolicyName(rp)) + "_" +
                               MigrationModeName(run.mode) +
                               (run.dep_cache ? "_DepCache" : "") +
@@ -636,14 +641,10 @@ int main() {
   // Scale-out: does the memory-aware packer keep its edge as the fleet
   // grows?  (Same per-host capacity; the trace stays fixed, so bigger
   // fleets are progressively less constrained.)  Each row also reports
-  // the sim kernel's whole-run events/sec on the timer wheel, and the
-  // 64-host point re-runs HintedBinPack on the legacy single binary heap
-  // — the two implementations must produce IDENTICAL results (the
-  // determinism contract), differing only in wall-clock.
+  // the sim kernel's whole-run events/sec on the timer wheel.
   std::cout << "\nScale-out (Squeezy): pending scale-ups by host count\n";
   TablePrinter scale({"Hosts", "RoundRobin", "MemBinPack", "HintedBinPack", "Events",
                       "Wheel Ev/s"});
-  bool queue_identical = true;
   for (const size_t hosts : fig12::kScaleHostCounts) {
     const ComboResult rr = RunCombo(ReclaimPolicy::kSqueezy,
                                     PlacementPolicy::kRoundRobin, cap, hosts, nullptr);
@@ -654,29 +655,18 @@ int main() {
                                     PlacementPolicy::kHintedBinPack, cap, hosts,
                                     nullptr);
     scale.AddRow({TablePrinter::Int(static_cast<int64_t>(hosts)),
-                  TablePrinter::Int(static_cast<int64_t>(rr.fleet.pending_scaleups_total)),
-                  TablePrinter::Int(static_cast<int64_t>(bp.fleet.pending_scaleups_total)),
-                  TablePrinter::Int(static_cast<int64_t>(hb.fleet.pending_scaleups_total)),
+                  TablePrinter::Int(
+                      static_cast<int64_t>(rr.fleet.pending_scaleups_total)),
+                  TablePrinter::Int(
+                      static_cast<int64_t>(bp.fleet.pending_scaleups_total)),
+                  TablePrinter::Int(
+                      static_cast<int64_t>(hb.fleet.pending_scaleups_total)),
                   TablePrinter::Int(static_cast<int64_t>(hb.events)),
                   TablePrinter::Num(hb.events_per_sec(), 0)});
     const std::string tag = std::to_string(hosts) + "h";
     json.Metric("scale_pending_hinted_" + tag, hb.fleet.pending_scaleups_total);
     json.Metric("sim_events_" + tag, hb.events);
     timing.Metric("sim_events_per_sec_" + tag, hb.events_per_sec());
-    if (hosts == fig12::kQueueBenchHosts) {
-      ComboOpts heap_opts;
-      heap_opts.impl = EventQueue::Impl::kBinaryHeap;
-      const ComboResult heap = RunCombo(ReclaimPolicy::kSqueezy,
-                                        PlacementPolicy::kHintedBinPack, cap, hosts,
-                                        nullptr, nullptr, heap_opts);
-      queue_identical = heap.admitted == hb.admitted &&
-                        heap.events == hb.events &&
-                        heap.routing_hash == hb.routing_hash &&
-                        heap.fleet.pending_scaleups_total ==
-                            hb.fleet.pending_scaleups_total &&
-                        heap.fleet.completed_requests == hb.fleet.completed_requests;
-      timing.Metric("sim_events_per_sec_heap_" + tag, heap.events_per_sec());
-    }
   }
   scale.Print(std::cout);
 
@@ -806,86 +796,37 @@ int main() {
       timing.Metric("shard_events_per_sec_4t_" + tag, r4.events_per_sec());
       timing.Metric("shard_thread_speedup_4t_" + tag, shard_speedup);
 
-      // Placement-impl identity gate: the indexed path must reproduce the
-      // full-snapshot scan BIT-IDENTICALLY — same admissions, same event
-      // stream, same order-sensitive routing hash, same fleet book.  Both
-      // legs are explicit (the env knob only picks the default), so this
-      // gate holds on every CI leg regardless of SQUEEZY_PLACEMENT_IMPL.
-      ComboOpts scan_opts = shard_opts;
-      scan_opts.placement = PlacementImpl::kScan;
-      ComboOpts idx_opts = shard_opts;
-      idx_opts.placement = PlacementImpl::kIndexed;
-      const ComboResult scan = RunCombo(ReclaimPolicy::kSqueezy,
-                                        PlacementPolicy::kHintedBinPack,
-                                        fig12::kShardHostCapacity, hosts,
-                                        nullptr, nullptr, scan_opts);
-      const ComboResult idx = RunCombo(ReclaimPolicy::kSqueezy,
-                                       PlacementPolicy::kHintedBinPack,
-                                       fig12::kShardHostCapacity, hosts,
-                                       nullptr, nullptr, idx_opts);
+      // Placement identity gate: the indexed placement must reproduce the
+      // decision stream the full snapshot scan took at this row before
+      // the scan moved to tests/ as an oracle (recorded constants above).
       placement_identical =
-          scan.admitted == idx.admitted && scan.events == idx.events &&
-          scan.routing_hash == idx.routing_hash &&
-          scan.decisions == idx.decisions &&
-          scan.fleet.pending_scaleups_total == idx.fleet.pending_scaleups_total &&
-          scan.fleet.completed_requests == idx.fleet.completed_requests &&
-          scan.fleet.committed_peak == idx.fleet.committed_peak;
-      const double placement_speedup =
-          scan.events_per_sec() > 0 ? idx.events_per_sec() / scan.events_per_sec()
-                                    : 0.0;
-      std::cout << "Check: indexed placement bit-identical to snapshot scan at "
+          sh.admitted == kScanAdmitted256h && sh.events == kScanEvents256h &&
+          sh.decisions == kScanDecisions256h && sh.routing_hash == kScanRoutingHash256h;
+      std::cout << "Check: indexed placement reproduces the recorded scan decisions at "
                 << hosts << " hosts -> " << (placement_identical ? "PASS" : "FAIL")
-                << " (" << scan.decisions << " decisions, index depth "
-                << idx.index_depth() << " vs scan width " << hosts << ")\n"
-                << "Indexed vs scan events/sec at " << hosts << " hosts: "
-                << Ratio(placement_speedup) << " ("
-                << TablePrinter::Num(scan.events_per_sec() / 1e6) << " -> "
-                << TablePrinter::Num(idx.events_per_sec() / 1e6)
-                << " M events/s, timing-sensitive, never gates)\n";
-      timing.Metric("placement_events_per_sec_scan_" + tag, scan.events_per_sec());
-      timing.Metric("placement_events_per_sec_indexed_" + tag, idx.events_per_sec());
-      timing.Metric("placement_indexed_speedup_" + tag, placement_speedup);
+                << " (" << sh.decisions << " decisions, index depth " << sh.index_depth()
+                << " vs scan width " << hosts << ")\n";
     }
   }
   shard_scale.Print(std::cout);
   json.Text("placement_identical_results_check",
             placement_identical ? "PASS" : "FAIL");
 
-  // The event-kernel headline: queue-storm throughput at 64 hosts, wheel
-  // vs the old heap, with no-op handlers so the measurement is the queue
-  // itself (the whole-sim numbers above are diluted by guest/memory
-  // simulation work).  Both replays execute the identical event count.
+  // The event-kernel headline: queue-storm throughput at 64 hosts with
+  // no-op handlers, so the measurement is the queue itself (the
+  // whole-sim numbers above are diluted by guest/memory simulation work).
   const std::vector<Invocation> storm_trace = GenerateClusterTrace(TraceConfig(), kSeed);
-  const QueueStormResult wheel_storm = RunQueueStorm(
-      EventQueue::Impl::kTimerWheel, fig12::kQueueBenchHosts, storm_trace);
-  const QueueStormResult heap_storm = RunQueueStorm(
-      EventQueue::Impl::kBinaryHeap, fig12::kQueueBenchHosts, storm_trace);
-  queue_identical = queue_identical && wheel_storm.events == heap_storm.events;
-  const double queue_speedup =
-      heap_storm.best_events_per_sec > 0
-          ? wheel_storm.best_events_per_sec / heap_storm.best_events_per_sec
-          : 0.0;
-  std::cout << "\nEvent-kernel A/B at " << fig12::kQueueBenchHosts << " hosts ("
-            << wheel_storm.events << " events, no-op handlers):\n"
-            << "  timer wheel: "
+  const QueueStormResult wheel_storm =
+      RunQueueStorm(fig12::kQueueBenchHosts, storm_trace);
+  std::cout << "\nEvent-kernel queue storm at " << fig12::kQueueBenchHosts << " hosts ("
+            << wheel_storm.events << " events, no-op handlers): "
             << TablePrinter::Num(wheel_storm.best_events_per_sec / 1e6)
-            << " M events/s\n  binary heap: "
-            << TablePrinter::Num(heap_storm.best_events_per_sec / 1e6)
-            << " M events/s\n  speedup:     " << Ratio(queue_speedup) << "\n"
-            << "Check: wheel and heap execute identical event streams -> "
-            << (queue_identical ? "PASS" : "FAIL") << "\n"
-            << "Check: wheel >= 2x heap events/sec at 64 hosts -> "
-            << (queue_speedup >= 2.0 ? "PASS" : "FAIL (timing-sensitive)") << "\n";
-  // The headline throughput goes to TIMING (wall-clock); the heap
-  // baseline is recorded next to it so the speedup is measured, not
-  // claimed.  The identical-event-count check is deterministic and
-  // stays in BENCH.
+            << " M events/s\n";
+  // The throughput goes to TIMING (wall-clock); the event count is
+  // deterministic and stays in BENCH.
   timing.Metric("events_per_sec", wheel_storm.best_events_per_sec);
   timing.Metric("queue_events_per_sec_wheel_64h", wheel_storm.best_events_per_sec);
-  timing.Metric("queue_events_per_sec_heap_64h", heap_storm.best_events_per_sec);
-  timing.Metric("event_queue_speedup_64h", queue_speedup);
   json.Metric("queue_storm_events_64h", wheel_storm.events);
-  json.Text("queue_identical_results_check", queue_identical ? "PASS" : "FAIL");
   json.Text("sharded_identical_results_check", sharded_identical ? "PASS" : "FAIL");
 
   const std::string json_path = json.Write();
@@ -893,8 +834,7 @@ int main() {
   std::cout << "CSV: bench_results/fig12_cluster_scale.csv\nJSON: " << json_path
             << "\nTiming: " << timing_path << "\n";
   return binpack_pass && hinted_pass && drain_pass && dep_pass && snap_pass &&
-                 snap_wire_pass && queue_identical && sharded_identical &&
-                 placement_identical
+                 snap_wire_pass && sharded_identical && placement_identical
              ? 0
              : 1;
 }

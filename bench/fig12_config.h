@@ -25,8 +25,8 @@ inline constexpr uint64_t kSeed = 2026;
 // Restricted per-host capacity = this fraction of the abundant-memory
 // fleet committed peak per host.
 inline constexpr double kCapacityFraction = 0.62;
-// Scale-out sweep host counts.  The top end carries the event-kernel
-// wheel-vs-heap A/B (whole-sim and queue-storm events/sec).
+// Scale-out sweep host counts.  The top end also sizes the event-kernel
+// queue storm (events/sec with no-op handlers).
 inline constexpr size_t kScaleHostCounts[] = {4, 8, 16, 32, 64};
 inline constexpr size_t kQueueBenchHosts = 64;
 // Sharded-kernel scale-out: host counts beyond the single-queue sweep,
@@ -41,7 +41,7 @@ inline constexpr size_t kQueueBenchHosts = 64;
 // pure function of (config, seed), so any thread count fires the
 // identical sequence.
 inline constexpr size_t kShardScaleHostCounts[] = {256, 512, 1024};
-inline constexpr size_t kShardIdentityHosts = 256;  // Sharded-vs-single gate.
+inline constexpr size_t kShardIdentityHosts = 256;  // Sharded-vs-single + scan gates.
 inline constexpr TimeNs kShardArrivalQuantum = Msec(1);
 // The sharded rows run the PAPER-sized functions: the extent MemMap
 // materializes per-page chunks only where blocks are touched, so sim RSS

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <string_view>
 
 namespace squeezy {
 
@@ -11,7 +10,8 @@ namespace {
 
 // Pool width for kSharded: the config value, or — when 0 — the
 // SQUEEZY_SIM_THREADS environment knob (the CI matrix leg drives this),
-// defaulting to 1.  Clamped to at least the coordinator thread.
+// defaulting to 1.  Clamped to at least the coordinator thread; the
+// ShardedEventQueue caps it at one thread per shard.
 size_t ResolveSimThreads(size_t configured) {
   if (configured > 0) {
     return configured;
@@ -24,24 +24,9 @@ size_t ResolveSimThreads(size_t configured) {
   return parsed > 1 ? static_cast<size_t>(parsed) : 1;
 }
 
-// Placement implementation for kDefault: the SQUEEZY_PLACEMENT_IMPL
-// environment knob (the CI matrix leg drives this), defaulting to the
-// indexed path.  Same resolution shape as ResolveSimThreads.
-PlacementImpl ResolvePlacementImpl(PlacementImpl configured) {
-  if (configured != PlacementImpl::kDefault) {
-    return configured;
-  }
-  const char* env = std::getenv("SQUEEZY_PLACEMENT_IMPL");
-  if (env != nullptr && std::string_view(env) == "scan") {
-    return PlacementImpl::kScan;
-  }
-  return PlacementImpl::kIndexed;
-}
-
 }  // namespace
 
-Cluster::Cluster(const ClusterConfig& config)
-    : config_(config), placement_impl_(ResolvePlacementImpl(config.placement_impl)) {
+Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   assert(config_.nr_hosts > 0);
   if (config_.queue_impl == EventQueue::Impl::kSharded) {
     // Hosts sharing a registry (dep cache / snapshot store) can touch
@@ -53,7 +38,7 @@ Cluster::Cluster(const ClusterConfig& config)
         config_.nr_hosts, ResolveSimThreads(config_.sim_threads), serial);
     events_ = &sharded_->global();
   } else {
-    single_ = std::make_unique<EventQueue>(config_.queue_impl);
+    single_ = std::make_unique<EventQueue>();
     events_ = single_.get();
   }
   if (config_.shared_dep_cache) {
@@ -62,12 +47,7 @@ Cluster::Cluster(const ClusterConfig& config)
   if (config_.shared_snapshots) {
     snapshot_store_ = std::make_unique<SnapshotStore>(SnapshotStoreConfig{});
   }
-  // The candidate indexes are maintained in BOTH placement modes (hosts
-  // always notify), so index stats stay impl-independent — but only the
-  // indexed mode lets the deciders read them.
   host_index_ = std::make_unique<HostIndex>(config_.nr_hosts);
-  const HostIndex* decide_index =
-      placement_impl_ == PlacementImpl::kIndexed ? host_index_.get() : nullptr;
   // The scheduler gets the narrow control plane, not the runtimes.
   std::vector<HostControl*> raw;
   raw.reserve(config_.nr_hosts);
@@ -89,9 +69,8 @@ Cluster::Cluster(const ClusterConfig& config)
     raw.push_back(hosts_.back().get());
   }
   routed_.assign(config_.nr_hosts, 0);
-  scheduler_ = std::make_unique<ClusterScheduler>(config_.placement, raw, decide_index);
-  planner_ =
-      std::make_unique<MigrationPlanner>(std::move(raw), config_.host.cost, decide_index);
+  scheduler_ = std::make_unique<ClusterScheduler>(config_.placement, raw, *host_index_);
+  planner_ = std::make_unique<MigrationPlanner>(std::move(raw), *host_index_);
 }
 
 Cluster::~Cluster() = default;
@@ -216,13 +195,14 @@ size_t Cluster::MigrateOff(size_t src) {
       // Dep-cache hit: the destination already holds the identical image,
       // so only the anonymous state crosses the wire — priced as a fixed
       // attach cost instead of shipping up to hundreds of MiB of deps.
-      const bool dep_hit = dep_active && dep_cache_->Populated(dst.host, fn_dep_image_[fn]);
+      const bool dep_hit =
+          dep_active && dep_cache_->Populated(dst.host, fn_dep_image_[fn]);
       // Snapshot hit: the destination can re-create the recorded portion
       // of the anonymous state from the cluster store, so only the dirty
       // delta beyond the recording crosses the wire — priced as a fixed
       // restore setup plus a bulk prefetch at snapshot speed.
       const bool snap_hit =
-          snap_fresh && hosts_[dst.host]->Snapshot(dst.local_fn).snapshot_restorable;
+          snap_fresh && hosts_[dst.host]->SnapshotRestorableFor(dst.local_fn);
       // Sizes the transfer for `n` of the captured instances, applying
       // the dep/snapshot discounts the chosen destination earns.
       const auto sized = [&](size_t n) {
@@ -241,7 +221,8 @@ size_t Cluster::MigrateOff(size_t src) {
         return s;
       };
       ReplicaMigrationState subset = sized(planned);
-      StateTransferCost cost = planner_->TransferCost(subset, dep_hit, snap_hit);
+      StateTransferCost cost =
+          MigrationTransferCost(config_.host.cost, subset, dep_hit, snap_hit);
       const TimeNs done_at = events_->now() + cost.total();
       adopted = hosts_[dst.host]->AdoptReplica(dst.local_fn, subset, done_at);
       if (adopted == 0) {
@@ -250,14 +231,15 @@ size_t Cluster::MigrateOff(size_t src) {
       // AdoptableReplicas CONTRACT (host_control.h): same books, no
       // intervening event — the adoption admits exactly what the query
       // quoted, so the priced transfer IS the shipped transfer.
-      assert(adopted == planned && "AdoptReplica diverged from its AdoptableReplicas quote");
+      assert(adopted == planned &&
+             "AdoptReplica diverged from its AdoptableReplicas quote");
       if (adopted != planned) {
         // Never expected (asserted above); keep the release-build record
         // honest anyway by re-pricing the wire for what actually moved.
         // available_at stays at the quoted done_at — conservative: the
         // instances turn warm no earlier than promised.
         subset = sized(adopted);
-        cost = planner_->TransferCost(subset, dep_hit, snap_hit);
+        cost = MigrationTransferCost(config_.host.cost, subset, dep_hit, snap_hit);
       }
       if (dep_hit) {
         dep_cache_->RecordWireHit(state.deps_bytes);

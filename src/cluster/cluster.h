@@ -70,29 +70,19 @@ struct ClusterConfig {
   // restored working set instead of the full plug unit.  Off by default —
   // every existing experiment is bit-identical with it off.
   bool shared_snapshots = false;
-  // Event-queue implementation for the shared fleet clock.  The timer
-  // wheel is the default; kBinaryHeap preserves the pre-wheel single
-  // priority queue so benches can A/B the kernel at fleet scale.
-  // kSharded gives every host its own wheel plus a cross-shard mailbox,
+  // Event kernel for the fleet clock: one global timer wheel (default),
+  // or kSharded — every host its own wheel plus a cross-shard mailbox,
   // driven by the Cluster in deterministic lockstep epochs
-  // (src/sim/sharded_event_queue.h).  All three fire events in identical
+  // (src/sim/sharded_event_queue.h).  Both fire events in identical
   // order (locked by tests and the property fuzz), so this knob never
   // changes results — only wall-clock speed.
   EventQueue::Impl queue_impl = EventQueue::Impl::kTimerWheel;
   // Thread-pool width for kSharded parallel epochs (coordinator thread
-  // included).  0 = read SQUEEZY_SIM_THREADS from the environment
-  // (defaulting to 1 when unset); ignored by the single-queue impls.
-  // Any value yields bit-identical results — threads only change
-  // wall-clock.
+  // included, at most one thread per host).  0 = read SQUEEZY_SIM_THREADS
+  // from the environment (defaulting to 1 when unset); ignored by the
+  // single-queue kernel.  Any value yields bit-identical results —
+  // threads only change wall-clock.
   size_t sim_threads = 0;
-  // Placement decision implementation: the incrementally-maintained
-  // HostIndex (kIndexed — O(log hosts) per route) or the original
-  // full-snapshot scan (kScan) retained as the bit-identical reference.
-  // kDefault resolves SQUEEZY_PLACEMENT_IMPL from the environment
-  // ("scan"/"indexed", defaulting to indexed).  Decisions are IDENTICAL
-  // either way (locked by IndexedVsScanPlacementFuzzTest and the fig12
-  // 256-host gate) — the knob only changes wall-clock.
-  PlacementImpl placement_impl = PlacementImpl::kDefault;
 };
 
 // Lock discipline: the cluster self-locks (`mu_`) around its routing and
@@ -161,13 +151,9 @@ class Cluster : private HostStateListener {
   FaasRuntime& host(size_t h) { return *hosts_[h]; }
   const FaasRuntime& host(size_t h) const { return *hosts_[h]; }
   ClusterScheduler& scheduler() { return *scheduler_; }
-  // The placement candidate indexes (always maintained, in BOTH
-  // placement_impl modes — so index stats are impl-independent and the
-  // BENCH artifact byte-diffs across the CI placement legs).
+  // The placement candidate indexes every scheduler and planner decision
+  // reads, fed by the hosts' state deltas.
   const HostIndex& host_index() const { return *host_index_; }
-  // The implementation actually deciding placements after kDefault
-  // resolution (construction-time; fixed for the cluster's lifetime).
-  PlacementImpl placement_impl() const { return placement_impl_; }
   size_t function_count() const SQZ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return functions_.size();
@@ -277,9 +263,8 @@ class Cluster : private HostStateListener {
   }
 
   const ClusterConfig config_;  // Immutable after construction.
-  const PlacementImpl placement_impl_;  // kDefault resolved; immutable.
   // Exactly one of the two kernels below is live.  kSharded builds the
-  // per-host shard array + mailbox; every other impl builds one global
+  // per-host shard array + mailbox; kTimerWheel builds one global
   // queue.  `events_` always points at the fleet-level queue (the
   // mailbox under kSharded) so the scheduling sites read uniformly.
   std::unique_ptr<ShardedEventQueue> sharded_;

@@ -103,8 +103,8 @@ std::vector<HostIndex::Candidate> HostIndex::CandidatesByAvailable(
     }
     out.push_back({host, rows_[host].committed, it->first});
   }
-  // The scan visits hosts in ascending index; restore that order so every
-  // downstream stable_sort and cursor computation sees the same sequence.
+  // Callers see hosts in ascending index, so every downstream
+  // stable_sort and cursor computation runs over one fixed sequence.
   std::sort(out.begin(), out.end(),
             [](const Candidate& a, const Candidate& b) { return a.host < b.host; });
   return out;
@@ -143,7 +143,7 @@ std::vector<size_t> HostIndex::LeastCommittedTied(int fn) const {
   MutexLock lock(&mu_);
   assert(static_cast<size_t>(fn) < fns_.size());
   const FnIndex& idx = fns_[fn];
-  // The scan treats every replica as eligible when ALL of them drain.
+  // Every replica is eligible when ALL of them drain.
   const bool all_draining = idx.draining_replicas == idx.hosts.size();
   std::vector<size_t> tied;
   auto it = idx.by_committed.begin();
@@ -157,7 +157,7 @@ std::vector<size_t> HostIndex::LeastCommittedTied(int fn) const {
       }
     }
     if (!tied.empty()) {
-      return tied;  // First group with an eligible member == the scan's min.
+      return tied;  // First group with an eligible member is the minimum.
     }
   }
   return tied;
@@ -196,7 +196,7 @@ int HostIndex::MostPressured(size_t min_pending) const {
       continue;
     }
     // First non-draining entry has the max pending (ties lowest host);
-    // the scan returns -1 when even the max misses min_pending.
+    // -1 when even the max misses min_pending.
     return pending >= min_pending ? static_cast<int>(host) : -1;
   }
   return -1;

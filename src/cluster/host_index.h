@@ -1,14 +1,10 @@
 // Incrementally-maintained placement candidate indexes (the scale-out
 // decision plane).
 //
-// Before this subsystem every routing decision re-scanned a HostSnapshot
-// of every candidate host — O(invocations x hosts) total, measured as the
-// dominant wall cost of the fig12 sharded sweep beyond 256 hosts.  The
-// HostIndex keeps the quantities those scans ranked on in ordered
-// structures that hosts update as their state changes, so the deciders
+// Every placement decision reads hosts through this index: the deciders
 // (`ClusterScheduler::PlaceFunction`/`Route`, `MigrationPlanner::
 // RankDestinations`/`MostPressuredHost`) pick from a tree in O(log hosts)
-// instead of materializing snapshots:
+// instead of scanning every candidate host per decision:
 //   * per-host rows      — cached (committed, capacity, pending, draining),
 //     refreshed through HostStateListener deltas (host_control.h) fired at
 //     the books' choke points (HostMemory commit observer, pending queue,
@@ -19,17 +15,18 @@
 //     the first non-draining entry;
 //   * per-function trees — (committed, replica) ascending over the
 //     function's replica hosts: bin-pack routing walks committed groups
-//     descending (ties ascending replica index — the scan's first-match
-//     semantics), least-committed routing takes the first eligible group.
+//     descending (ties ascending replica index — first-match semantics),
+//     least-committed routing takes the first eligible group.
 //
-// Exactness contract: every query reproduces the retained full-scan
-// reference BIT-IDENTICALLY — same candidate sets, same tie-breaks
-// (lowest host / replica index), same all-draining fallbacks.  The cached
-// values are maintained, never recomputed, so the contract holds only if
-// every mutation of committed/pending/draining notifies; the
-// IndexedVsScanPlacementFuzzTest replays churn through both paths and
-// asserts identical decision streams, and the fig12 gate compares whole
-// sweeps.
+// Exactness contract: every query equals a full scan over the hosts'
+// live books BIT-IDENTICALLY — same candidate sets, same tie-breaks
+// (lowest host / replica index), same all-draining fallbacks.  That scan
+// lives in tests/placement_scan_oracle.h.  The cached values are
+// maintained, never recomputed, so the contract holds only if every
+// mutation of committed/pending/draining notifies.  Two tests hold it:
+// PerEventPlacementOracleTest checks every query against the oracle
+// after every event of a churned cluster run, and HostIndexOracleFuzzTest
+// does the same on synthetic rows with heavy ties.
 //
 // Determinism: every ordered structure is keyed by absolute values
 // (bytes, counts, stable indices) — never pointers or hashes — so the
@@ -58,9 +55,8 @@
 namespace squeezy {
 
 // Bench-visible counters.  Deterministic: update counts are a pure
-// function of the simulated event stream (identical at any thread count
-// and under either placement_impl, since the index is maintained in both
-// modes), so they belong in BENCH_*.json.
+// function of the simulated event stream (identical at any thread
+// count), so they belong in BENCH_*.json.
 struct HostIndexStats {
   uint64_t updates = 0;        // Delta notifications absorbed.
   uint64_t functions = 0;      // Per-function trees registered.
@@ -107,7 +103,7 @@ class HostIndex {
   void RegisterFunction(int fn, const std::vector<size_t>& replica_hosts)
       SQZ_EXCLUDES(mu_);
 
-  // --- Queries (each reproduces its scan counterpart bit-identically) -------------
+  // --- Queries (each equals the tests/ scan oracle bit-identically) ---------------
   HostRow row(size_t host) const SQZ_EXCLUDES(mu_);
 
   // Non-draining hosts with available >= need, ascending host index, each
@@ -120,13 +116,13 @@ class HostIndex {
   // -1 when none admits.  `can_admit` is invoked WITHOUT `mu_` held (it
   // calls into the host layer), against an order fixed before the first
   // probe — admission checks are const, so the probe order alone
-  // determines the pick, exactly like the scan's max-committed
+  // determines the pick, exactly like the oracle's max-committed
   // first-match loop.
   int FirstAdmittingByCommittedDesc(int fn,
                                     const std::function<bool(size_t)>& can_admit) const
       SQZ_EXCLUDES(mu_);
 
-  // Least-committed routing: the scan's tied set — replicas of the least
+  // Least-committed routing: the tied set — replicas of the least
   // committed eligible group (non-draining, unless every replica drains),
   // ascending replica index.  Never empty for a registered non-empty fn.
   std::vector<size_t> LeastCommittedTied(int fn) const SQZ_EXCLUDES(mu_);
@@ -138,7 +134,7 @@ class HostIndex {
 
   // The non-draining host with the most pending scale-ups (at least
   // `min_pending`), ties to the lowest host index; -1 when none
-  // qualifies (MostPressuredHost's max-scan).
+  // qualifies (MostPressuredHost).
   int MostPressured(size_t min_pending) const SQZ_EXCLUDES(mu_);
 
   size_t host_count() const { return nr_hosts_; }
@@ -166,7 +162,7 @@ class HostIndex {
   std::vector<HostRow> rows_ SQZ_GUARDED_BY(mu_);
   // (available, host) ascending.
   std::set<std::pair<uint64_t, size_t>> by_available_ SQZ_GUARDED_BY(mu_);
-  // (pending desc, host asc): begin() is the pressure-scan winner.
+  // (pending desc, host asc): begin() is the most pressured host.
   struct PressureOrder {
     bool operator()(const std::pair<size_t, size_t>& a,
                     const std::pair<size_t, size_t>& b) const {

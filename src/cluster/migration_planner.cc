@@ -5,9 +5,9 @@
 
 namespace squeezy {
 
-MigrationPlanner::MigrationPlanner(std::vector<HostControl*> hosts, const CostModel& cost,
-                                   const HostIndex* index)
-    : hosts_(std::move(hosts)), cost_(cost), index_(index) {
+MigrationPlanner::MigrationPlanner(std::vector<HostControl*> hosts,
+                                   const HostIndex& index)
+    : hosts_(std::move(hosts)), index_(index) {
   assert(!hosts_.empty());
 }
 
@@ -32,27 +32,18 @@ std::vector<size_t> MigrationPlanner::RankDestinations(
     if (h == src_host) {
       continue;
     }
-    if (index_ != nullptr) {
-      // Indexed: the cached row answers the filter (draining/headroom)
-      // and the committed score; only the residency/channel dimensions —
-      // narrow O(1) reads — go live to the host.
-      const HostIndex::HostRow row = index_->row(h);
-      if (row.draining || row.available() < unit_bytes) {
-        continue;  // Cannot take even one instance's commitment.
-      }
-      const HostControl* hc = hosts_[h];
-      cands.push_back(Candidate{i, row.available() >= wanted * unit_bytes,
-                                hc->DepImagePopulated(replicas[i].local_fn),
-                                hc->SnapshotRestorableFor(replicas[i].local_fn),
-                                hc->RestoresInFlight(), row.committed});
-      continue;
-    }
-    const HostSnapshot s = hosts_[h]->Snapshot(replicas[i].local_fn);
-    if (s.draining || s.available < unit_bytes) {
+    // The cached row answers the filter (draining/headroom) and the
+    // committed score; only the residency/channel dimensions — narrow
+    // O(1) reads — go live to the host.
+    const HostIndex::HostRow row = index_.row(h);
+    if (row.draining || row.available() < unit_bytes) {
       continue;  // Cannot take even one instance's commitment.
     }
-    cands.push_back(Candidate{i, s.available >= wanted * unit_bytes, s.dep_image_populated,
-                              s.snapshot_restorable, s.restores_in_flight, s.committed});
+    const HostControl* hc = hosts_[h];
+    cands.push_back(Candidate{i, row.available() >= wanted * unit_bytes,
+                              hc->DepImagePopulated(replicas[i].local_fn),
+                              hc->SnapshotRestorableFor(replicas[i].local_fn),
+                              hc->RestoresInFlight(), row.committed});
   }
   // Bin-pack flavor, same as placement: pack the incoming state onto the
   // most committed host that still fits the whole move, partial fits
@@ -68,21 +59,22 @@ std::vector<size_t> MigrationPlanner::RankDestinations(
   // on a busy channel queues behind the in-flight transfers (always 0
   // without a registry — ordering unchanged then).  stable_sort keeps
   // exact ties at the lowest host index (deterministic).
-  std::stable_sort(cands.begin(), cands.end(), [](const Candidate& a, const Candidate& b) {
-    if (a.fits_all != b.fits_all) {
-      return a.fits_all;
-    }
-    if (a.dep_populated != b.dep_populated) {
-      return a.dep_populated;
-    }
-    if (a.snap_restorable != b.snap_restorable) {
-      return a.snap_restorable;
-    }
-    if (a.restores_in_flight != b.restores_in_flight) {
-      return a.restores_in_flight < b.restores_in_flight;
-    }
-    return a.committed > b.committed;
-  });
+  std::stable_sort(cands.begin(), cands.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     if (a.fits_all != b.fits_all) {
+                       return a.fits_all;
+                     }
+                     if (a.dep_populated != b.dep_populated) {
+                       return a.dep_populated;
+                     }
+                     if (a.snap_restorable != b.snap_restorable) {
+                       return a.snap_restorable;
+                     }
+                     if (a.restores_in_flight != b.restores_in_flight) {
+                       return a.restores_in_flight < b.restores_in_flight;
+                     }
+                     return a.committed > b.committed;
+                   });
   std::vector<size_t> ranked;
   ranked.reserve(cands.size());
   for (const Candidate& c : cands) {
@@ -92,45 +84,26 @@ std::vector<size_t> MigrationPlanner::RankDestinations(
 }
 
 int MigrationPlanner::MostPressuredHost(size_t min_pending) const {
-  if (index_ != nullptr) {
-    // The by-pressure tree's first non-draining entry IS the scan winner:
-    // max pending, ties to the lowest host index, -1 below the threshold.
-    return index_->MostPressured(min_pending);
-  }
-  int victim = -1;
-  size_t worst = 0;
-  for (size_t h = 0; h < hosts_.size(); ++h) {
-    const HostSnapshot s = hosts_[h]->Snapshot();
-    // A host qualifies when it is not draining and meets the threshold —
-    // with min_pending == 0 that is every non-draining host (the old
-    // `worst = min_pending - 1` seed silently turned 0 into 1 and could
-    // return -1 from an all-idle fleet that should have yielded host 0).
-    if (s.draining || s.pending_scaleups < min_pending) {
-      continue;
-    }
-    if (victim < 0 || s.pending_scaleups > worst) {
-      worst = s.pending_scaleups;
-      victim = static_cast<int>(h);
-    }
-  }
-  return victim;
+  // The by-pressure tree's first non-draining entry: max pending, ties to
+  // the lowest host index, -1 below the threshold.
+  return index_.MostPressured(min_pending);
 }
 
-StateTransferCost MigrationPlanner::TransferCost(const ReplicaMigrationState& state,
-                                                 bool dep_cache_hit,
-                                                 bool snapshot_hit) const {
-  StateTransferCost c = cost_.StateTransfer(state.transfer_bytes(),
-                                            cost_.migrate_dirty_frac * state.busy_fraction);
+StateTransferCost MigrationTransferCost(const CostModel& cost,
+                                        const ReplicaMigrationState& state,
+                                        bool dep_cache_hit, bool snapshot_hit) {
+  StateTransferCost c = cost.StateTransfer(state.transfer_bytes(),
+                                           cost.migrate_dirty_frac * state.busy_fraction);
   if (dep_cache_hit) {
     // Attach the destination-resident image instead of shipping it.
-    c.precopy += cost_.dep_cache_hit_fixed;
+    c.precopy += cost.dep_cache_hit_fixed;
   }
   if (snapshot_hit) {
     // The caller moved the recorded portion out of state_bytes: the wire
     // carries only the delta, and the destination re-creates the recorded
     // bytes from the cluster snapshot store (fixed restore setup plus a
     // bulk prefetch at snapshot speed, overlapping the pre-copy phase).
-    c.precopy += cost_.SnapshotAttach(state.recorded_bytes);
+    c.precopy += cost.SnapshotAttach(state.recorded_bytes);
   }
   return c;
 }

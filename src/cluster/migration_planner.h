@@ -2,12 +2,13 @@
 //
 // When a host drains — or sits under sustained memory pressure — its warm
 // replicas hold exactly the state the paper works to keep cheap: faulted
-// working sets and hot dependency caches.  PR 2's drain path reaped them
-// and paid cold starts elsewhere.  The MigrationPlanner instead selects
-// victim replicas and destination hosts, judging every candidate from one
-// consistent HostControl::Snapshot with the same bin-pack scoring the
-// scheduler uses for placement (most committed host that still fits, ties
-// to the lowest index), and prices the move with the CostModel's pre-copy
+// working sets and hot dependency caches.  A reap-only drain throws them
+// away and pays cold starts elsewhere.  The MigrationPlanner instead
+// selects victim replicas and destination hosts, judging every candidate
+// from its HostIndex row plus the narrow HostControl residency reads,
+// with the same bin-pack scoring the scheduler uses for placement (most
+// committed host that still fits, ties to the lowest index).
+// MigrationTransferCost prices the move with the CostModel's pre-copy
 // state-transfer model: cost scales with the replica's touched footprint
 // and its dirty rate (busy fraction at capture), not a flat constant.
 //
@@ -45,29 +46,26 @@ struct MigrationRecord {
 
 class MigrationPlanner {
  public:
-  // `hosts` must outlive the planner (same contract as ClusterScheduler).
-  // With a non-null `index` (same lifetime/mirroring contract) the
-  // ranking filters and scores from the incrementally-maintained
-  // HostIndex rows plus narrow residency reads instead of materializing a
-  // HostSnapshot per candidate; decisions are identical.
-  MigrationPlanner(std::vector<HostControl*> hosts, const CostModel& cost,
-                   const HostIndex* index = nullptr);
+  // `hosts` and `index` must outlive the planner (same contract as
+  // ClusterScheduler): the ranking filters and scores from the
+  // incrementally-maintained HostIndex rows plus narrow residency reads.
+  MigrationPlanner(std::vector<HostControl*> hosts, const HostIndex& index);
 
   // Destination candidates for migrating `wanted` warm instances (of
   // `unit_bytes` each) off `src_host`: indices into `replicas` (the
-  // function's replica set), best first.  Reuses the bin-pack scoring
-  // through one Snapshot per candidate — non-draining hosts other than
-  // the source with headroom for at least one unit; hosts that fit the
-  // whole move before partial fits, then hosts holding the function's
-  // dependency image warm (HostSnapshot::dep_image_populated — the move
-  // skips deps_bytes on the wire there), then hosts able to restore the
-  // function's snapshot recording (HostSnapshot::snapshot_restorable —
-  // only the delta beyond the recording crosses the wire), most
+  // function's replica set), best first.  Reuses the bin-pack scoring —
+  // non-draining hosts other than the source with headroom for at least
+  // one unit; hosts that fit the whole move before partial fits, then
+  // hosts holding the function's dependency image warm (the host's
+  // DepImagePopulated read — the move skips deps_bytes on the wire
+  // there), then hosts able to restore the function's snapshot recording
+  // (its SnapshotRestorableFor read — only the delta beyond the recording
+  // crosses the wire), then idle restore channels, most
   // committed first within each class, ties to the lowest host index.
-  // The caller walks the
-  // ranking and settles on the first host that actually adopts (a
-  // well-placed candidate can still be concurrency-saturated —
-  // AdoptableReplicas decides, not the snapshot).  With a snapshot
+  // The caller walks the ranking and settles on the first host that
+  // actually adopts (a well-placed candidate can still be
+  // concurrency-saturated — AdoptableReplicas decides, not the index row).
+  // With a snapshot
   // registry attached, AdoptableReplicas sizes each adopted unit from the
   // driver's RestoredCommitment, so a working-set-sized destination
   // admits more warm replicas than its raw plug-unit headroom suggests.
@@ -85,22 +83,6 @@ class MigrationPlanner {
   // warm state away.
   int MostPressuredHost(size_t min_pending) const;
 
-  // Prices one state transfer: pre-copy + stop-and-copy over the touched
-  // footprint, the per-round redirty fraction scaled by the replica's
-  // busy fraction at capture.  On a dep-cache hit the caller has already
-  // zeroed state.deps_bytes; the transfer additionally pays the fixed
-  // image-attach cost (CostModel::dep_cache_hit_fixed) — strictly
-  // cheaper than shipping the image whenever deps_bytes outweighs it.
-  // On a snapshot hit the caller has already moved the recorded portion
-  // out of state.state_bytes (only the delta pre-copies); the transfer
-  // additionally pays CostModel::SnapshotAttach(state.recorded_bytes) —
-  // the destination re-creating those bytes from the cluster store at
-  // snapshot-prefetch speed, strictly cheaper than the wire whenever the
-  // recording outweighs the fixed restore setup.
-  StateTransferCost TransferCost(const ReplicaMigrationState& state,
-                                 bool dep_cache_hit = false,
-                                 bool snapshot_hit = false) const;
-
   uint64_t plans_considered() const SQZ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return plans_considered_;
@@ -108,13 +90,30 @@ class MigrationPlanner {
 
  private:
   const std::vector<HostControl*> hosts_;  // Pointer set fixed at construction.
-  const CostModel cost_;                   // Immutable after construction.
-  const HostIndex* const index_;           // Null => full-scan reference path.
+  const HostIndex& index_;                 // Placement candidate trees.
   // Guards the decision counter (the planner's only mutable state; the
-  // ranking itself is a pure function of the snapshots it takes).
+  // ranking itself is a pure function of the host states it reads).
   mutable Mutex mu_;
   mutable uint64_t plans_considered_ SQZ_GUARDED_BY(mu_) = 0;
 };
+
+// Prices one state transfer: pre-copy + stop-and-copy over the touched
+// footprint, the per-round redirty fraction scaled by the replica's busy
+// fraction at capture.  On a dep-cache hit the caller has already zeroed
+// state.deps_bytes; the transfer additionally pays the fixed image-attach
+// cost (CostModel::dep_cache_hit_fixed) — strictly cheaper than shipping
+// the image whenever deps_bytes outweighs it.  On a snapshot hit the
+// caller has already moved the recorded portion out of state.state_bytes
+// (only the delta pre-copies); the transfer additionally pays
+// CostModel::SnapshotAttach(state.recorded_bytes) — the destination
+// re-creating those bytes from the cluster store at snapshot-prefetch
+// speed, strictly cheaper than the wire whenever the recording outweighs
+// the fixed restore setup.  A pure function of the cost model: pricing
+// needs no host.
+StateTransferCost MigrationTransferCost(const CostModel& cost,
+                                        const ReplicaMigrationState& state,
+                                        bool dep_cache_hit = false,
+                                        bool snapshot_hit = false);
 
 }  // namespace squeezy
 

@@ -30,20 +30,9 @@ const char* MigrationModeName(MigrationMode m) {
   return "?";
 }
 
-const char* PlacementImplName(PlacementImpl impl) {
-  switch (impl) {
-    case PlacementImpl::kDefault:
-      return "Default";
-    case PlacementImpl::kScan:
-      return "Scan";
-    case PlacementImpl::kIndexed:
-      return "Indexed";
-  }
-  return "?";
-}
-
-ClusterScheduler::ClusterScheduler(PlacementPolicy policy, std::vector<HostControl*> hosts,
-                                   const HostIndex* index)
+ClusterScheduler::ClusterScheduler(PlacementPolicy policy,
+                                   std::vector<HostControl*> hosts,
+                                   const HostIndex& index)
     : policy_(policy), hosts_(std::move(hosts)), index_(index) {
   assert(!hosts_.empty());
 }
@@ -58,28 +47,15 @@ std::vector<size_t> ClusterScheduler::PlaceFunction(uint64_t boot_commit,
   // footprint are candidates.  Fewer candidates than requested replicas
   // degrades the replica count; zero candidates means the function is
   // unplaceable (the cluster then rejects its invocations instead of
-  // crashing a host).  The indexed path pulls the candidate set from one
-  // by-available lower_bound; the scan reference judges every host from
-  // one snapshot each.  Both yield the same hosts in ascending index
-  // order with the same committed/available values.
+  // crashing a host).  One by-available lower_bound yields the candidate
+  // hosts in ascending index order with their committed/available values.
   std::vector<size_t> order;
   std::vector<uint64_t> committed(hosts_.size(), 0);
   std::vector<uint64_t> available(hosts_.size(), 0);
-  if (index_ != nullptr) {
-    for (const HostIndex::Candidate& c : index_->CandidatesByAvailable(boot_commit)) {
-      order.push_back(c.host);
-      committed[c.host] = c.committed;
-      available[c.host] = c.available;
-    }
-  } else {
-    for (size_t h = 0; h < hosts_.size(); ++h) {
-      const HostSnapshot s = hosts_[h]->Snapshot();
-      if (!s.draining && s.available >= boot_commit) {
-        order.push_back(h);
-        committed[h] = s.committed;
-        available[h] = s.available;
-      }
-    }
+  for (const HostIndex::Candidate& c : index_.CandidatesByAvailable(boot_commit)) {
+    order.push_back(c.host);
+    committed[c.host] = c.committed;
+    available[c.host] = c.available;
   }
   if (order.empty()) {
     return order;
@@ -143,140 +119,46 @@ size_t& ClusterScheduler::RouteCursor(int cluster_fn) {
   return route_cursor_[static_cast<size_t>(cluster_fn)];
 }
 
-size_t ClusterScheduler::LeastCommittedOf(const std::vector<Replica>& replicas,
-                                          const std::vector<HostSnapshot>& snaps,
-                                          int cluster_fn) {
-  // Draining hosts take no new work while any alternative exists.
-  bool any_live = false;
-  for (const HostSnapshot& s : snaps) {
-    any_live = any_live || !s.draining;
-  }
-  auto eligible = [&](size_t i) { return any_live ? !snaps[i].draining : true; };
-
-  uint64_t min_committed = 0;
-  bool seeded = false;
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    if (!eligible(i)) {
-      continue;
-    }
-    if (!seeded || snaps[i].committed < min_committed) {
-      min_committed = snaps[i].committed;
-      seeded = true;
-    }
-  }
-  // Exact ties are common (hosts idle at their boot commitment); breaking
-  // them toward a fixed host would make the policy de facto sticky, so
-  // tied hosts are rotated per function instead (still deterministic).
-  std::vector<size_t> tied;
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    if (eligible(i) && snaps[i].committed == min_committed) {
-      tied.push_back(i);
-    }
-  }
-  return tied[RouteCursor(cluster_fn)++ % tied.size()];
-}
-
-const Replica& ClusterScheduler::RouteIndexed(int cluster_fn,
-                                              const std::vector<Replica>& replicas) {
+const Replica& ClusterScheduler::Route(int cluster_fn,
+                                       const std::vector<Replica>& replicas) {
+  assert(!replicas.empty());
+  MutexLock lock(&mu_);
+  ++decisions_;
   switch (policy_) {
     case PlacementPolicy::kRoundRobin: {
       // Spread over the non-draining replicas (all of them when every
       // host drains — routing must return something).  The index knows
       // the eligible count and k-th member without touching a host.
-      const size_t eligible = index_->EligibleCount(cluster_fn);
+      const size_t eligible = index_.EligibleCount(cluster_fn);
       if (eligible == 0) {
         return replicas[RouteCursor(cluster_fn)++ % replicas.size()];
       }
       const size_t k = RouteCursor(cluster_fn)++ % eligible;
-      return replicas[index_->EligibleAt(cluster_fn, k)];
+      return replicas[index_.EligibleAt(cluster_fn, k)];
     }
     case PlacementPolicy::kLeastCommitted: {
-      const std::vector<size_t> tied = index_->LeastCommittedTied(cluster_fn);
+      // Exact ties are common (hosts idle at their boot commitment);
+      // breaking them toward a fixed host would make the policy de facto
+      // sticky, so tied hosts are rotated per function instead (still
+      // deterministic).
+      const std::vector<size_t> tied = index_.LeastCommittedTied(cluster_fn);
       return replicas[tied[RouteCursor(cluster_fn)++ % tied.size()]];
     }
     case PlacementPolicy::kMemoryAwareBinPack:
     case PlacementPolicy::kHintedBinPack: {
-      // Most committed replica that can admit, probed in the index's
-      // (committed desc, replica asc) order — the scan's max-committed
-      // first-match — with only the narrow CanAdmitNow read going live to
-      // a host, and only until the first hit.
-      const int best = index_->FirstAdmittingByCommittedDesc(
+      // Most committed replica that can admit without waiting on
+      // reclamation, probed in the index's (committed desc, replica asc)
+      // order, with only the narrow CanAdmitNow read going live to a
+      // host, and only until the first hit.
+      const int best = index_.FirstAdmittingByCommittedDesc(
           cluster_fn, [&](size_t i) {
             return hosts_[replicas[i].host]->CanAdmitNow(replicas[i].local_fn);
           });
       if (best < 0) {
         // No replica admits: overflow onto the least committed one (its
         // reclamation backlog is the smallest, so it unblocks first).
-        const std::vector<size_t> tied = index_->LeastCommittedTied(cluster_fn);
+        const std::vector<size_t> tied = index_.LeastCommittedTied(cluster_fn);
         const size_t donor = tied[RouteCursor(cluster_fn)++ % tied.size()];
-        if (policy_ == PlacementPolicy::kHintedBinPack) {
-          const uint64_t unit = fn_plug_unit_[static_cast<size_t>(cluster_fn)];
-          hosts_[replicas[donor].host]->ProactiveReclaim(unit);
-          ++hints_fired_;
-        }
-        return replicas[donor];
-      }
-      return replicas[static_cast<size_t>(best)];
-    }
-  }
-  return replicas[0];
-}
-
-const Replica& ClusterScheduler::Route(int cluster_fn,
-                                       const std::vector<Replica>& replicas) {
-  assert(!replicas.empty());
-  MutexLock lock(&mu_);
-  ++decisions_;
-
-  if (index_ != nullptr) {
-    return RouteIndexed(cluster_fn, replicas);
-  }
-
-  // One consistent snapshot per replica for this whole decision: committed,
-  // pressure and admissibility are read together, never torn.  The
-  // admission check walks instance state, so only the bin-packing
-  // policies (the ones that read can_admit) pay for it.
-  const bool wants_admit = policy_ == PlacementPolicy::kMemoryAwareBinPack ||
-                           policy_ == PlacementPolicy::kHintedBinPack;
-  std::vector<HostSnapshot> snaps;
-  snaps.reserve(replicas.size());
-  for (const Replica& r : replicas) {
-    snaps.push_back(hosts_[r.host]->Snapshot(wants_admit ? r.local_fn : -1));
-  }
-
-  switch (policy_) {
-    case PlacementPolicy::kRoundRobin: {
-      // Spread over the non-draining replicas (all of them when every
-      // host drains — routing must return something).
-      std::vector<size_t> eligible;
-      for (size_t i = 0; i < replicas.size(); ++i) {
-        if (!snaps[i].draining) {
-          eligible.push_back(i);
-        }
-      }
-      if (eligible.empty()) {
-        return replicas[RouteCursor(cluster_fn)++ % replicas.size()];
-      }
-      return replicas[eligible[RouteCursor(cluster_fn)++ % eligible.size()]];
-    }
-    case PlacementPolicy::kLeastCommitted:
-      return replicas[LeastCommittedOf(replicas, snaps, cluster_fn)];
-    case PlacementPolicy::kMemoryAwareBinPack:
-    case PlacementPolicy::kHintedBinPack: {
-      // Most committed replica that can admit without waiting on
-      // reclamation; when none can, fall back to the least committed one
-      // (its reclamation backlog is the smallest, so it unblocks first).
-      int best = -1;
-      for (size_t i = 0; i < replicas.size(); ++i) {
-        if (!snaps[i].can_admit) {
-          continue;
-        }
-        if (best < 0 || snaps[i].committed > snaps[static_cast<size_t>(best)].committed) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) {
-        const size_t donor = LeastCommittedOf(replicas, snaps, cluster_fn);
         if (policy_ == PlacementPolicy::kHintedBinPack) {
           // Co-design: the burst outran reclamation everywhere.  Tell the
           // donor host to start reclaiming one plug unit NOW (evict +

@@ -6,10 +6,11 @@
 //   * invocation routing — which replica serves an arriving request,
 //     decided at arrival time against live host state.
 //
-// The scheduler sees hosts ONLY through HostControl (src/faas/
-// host_control.h): each candidate is judged from a single HostSnapshot —
-// one consistent committed/pressure/admit read per decision — and the
-// co-design policies drive reclamation through the same interface.
+// The scheduler ranks candidates from the HostIndex (host_index.h), which
+// the hosts' HostControl state deltas keep exact, and reaches a host only
+// through HostControl (src/faas/host_control.h): the CanAdmitNow probe a
+// bin-pack decision still needs live, and the ProactiveReclaim hint the
+// co-design policy fires.
 //
 // Policies:
 //   kRoundRobin        — classic load spreading, memory-blind.
@@ -36,16 +37,16 @@
 //                        tick.  With a fast reclaim driver the donor's
 //                        memory is back before the burst's tail arrives.
 //
-// Draining hosts (HostSnapshot::draining) receive no new replicas and no
-// routes while any non-draining replica exists.
+// Draining hosts receive no new replicas and no routes while any
+// non-draining replica exists.
 //
-// Admission sizing: HostSnapshot::can_admit flows through the host's
+// Admission sizing: HostControl::CanAdmitNow flows through the host's
 // HasMemoryForFresh, which with a snapshot registry attached sizes a
 // fresh plug from the driver's RestoredCommitment (working-set-sized for
 // Squeezy) instead of the full plug unit — so the bin-packers see the
 // extra density that snapshot restore buys without any scheduler change.
 //
-// Every decision is a deterministic function of (policy, host snapshots,
+// Every decision is a deterministic function of (policy, host states,
 // per-function round-robin cursor); ties break toward the lowest host
 // index so cluster runs are bit-reproducible for a given seed.
 #ifndef SQUEEZY_CLUSTER_SCHEDULER_H_
@@ -62,21 +63,6 @@
 
 namespace squeezy {
 
-// Which implementation backs the placement decisions:
-//   kScan    — the original full pass over every candidate HostSnapshot
-//              per decision, retained as the bit-identical reference;
-//   kIndexed — the incrementally-maintained HostIndex (O(log hosts) per
-//              decision; identical decisions, locked by fuzz + fig12).
-//   kDefault — resolve from the SQUEEZY_PLACEMENT_IMPL environment
-//              variable ("scan"/"indexed"), defaulting to kIndexed.
-enum class PlacementImpl : uint8_t {
-  kDefault,
-  kScan,
-  kIndexed,
-};
-
-const char* PlacementImplName(PlacementImpl impl);
-
 enum class PlacementPolicy : uint8_t {
   kRoundRobin,
   kLeastCommitted,
@@ -91,7 +77,7 @@ const char* PlacementPolicyName(PlacementPolicy p);
 //                     re-routed invocations pay cold starts elsewhere.
 //   kMigrateOnDrain — live-migrate warm replicas to destination hosts
 //                     picked by the MigrationPlanner (bin-pack scoring
-//                     over HostControl snapshots); the donor's commitment
+//                     over the HostIndex rows); the donor's commitment
 //                     still drains at its reclaim driver's speed, but the
 //                     warm state survives and post-drain invocations stay
 //                     warm.  Also enables pressure-triggered migration
@@ -111,18 +97,17 @@ struct Replica {
 };
 
 // Lock discipline: the scheduler self-locks (`mu_`) around its decision
-// state (cursors, per-function plug units, counters).  HostControl
-// snapshots are taken while holding `mu_` — hosts sit BELOW the
-// scheduler in the cluster lock ordering (src/base/mutex.h) and never
-// call back up into it.
+// state (cursors, per-function plug units, counters).  HostIndex queries
+// and HostControl reads happen while holding `mu_` — the index is a leaf
+// and hosts sit BELOW the scheduler in the cluster lock ordering
+// (src/base/mutex.h); neither calls back up into it.
 class ClusterScheduler {
  public:
-  // `hosts` must outlive the scheduler.  With a non-null `index` (which
-  // must also outlive the scheduler and mirror these hosts) decisions run
-  // against the incrementally-maintained HostIndex instead of scanning a
-  // HostSnapshot per candidate — same decisions, O(log hosts) per route.
+  // `hosts` and `index` must outlive the scheduler, and `index` must
+  // mirror these hosts (fed by their state listeners): every decision is
+  // O(log hosts) against its trees.
   ClusterScheduler(PlacementPolicy policy, std::vector<HostControl*> hosts,
-                   const HostIndex* index = nullptr);
+                   const HostIndex& index);
 
   // Registration: picks up to `replicas` distinct hosts for a function
   // whose VM commits `boot_commit` bytes at boot and `plug_unit` bytes per
@@ -151,22 +136,11 @@ class ClusterScheduler {
   }
 
  private:
-  // Index into `replicas`/`snaps` of the least-committed non-draining host
-  // (all hosts when every one drains); exact ties rotate per function (see
-  // .cc) to avoid sticky-host herding.
-  size_t LeastCommittedOf(const std::vector<Replica>& replicas,
-                          const std::vector<HostSnapshot>& snaps, int cluster_fn)
-      SQZ_REQUIRES(mu_);
-  // Index-backed Route body: no snapshot vector is materialized — the
-  // candidate order comes from the HostIndex trees and only the narrow
-  // live reads a decision still needs (CanAdmitNow probes) touch hosts.
-  const Replica& RouteIndexed(int cluster_fn, const std::vector<Replica>& replicas)
-      SQZ_REQUIRES(mu_);
   size_t& RouteCursor(int cluster_fn) SQZ_REQUIRES(mu_);
 
   const PlacementPolicy policy_;           // Immutable after construction.
   const std::vector<HostControl*> hosts_;  // Pointer set fixed at construction.
-  const HostIndex* const index_;           // Null => full-scan reference path.
+  const HostIndex& index_;                 // Placement candidate trees.
   mutable Mutex mu_;
   // Registration round-robin cursor, in STABLE host-index space: it
   // names the next host to start from, never a position in the filtered

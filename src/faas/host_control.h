@@ -1,11 +1,15 @@
 // The narrow control-plane surface a cluster scheduler sees of one host.
 //
-// Placement–reclaim co-design happens through this interface: the
-// scheduler reads ONE consistent HostSnapshot per routing decision (no
-// torn committed/admit reads), and can drive reclamation on the data
-// plane — ProactiveReclaim before routing a burst at a donor host,
-// Drain/Undrain for maintenance, and the EvictReplica/AdoptReplica pair
-// for live replica migration (src/cluster/migration_planner.h).
+// Placement–reclaim co-design happens through this interface.  A host is
+// read one way only: it pushes every change of the three quantities
+// routing ranks on (committed, pending scale-ups, draining) to its
+// HostStateListener, and answers the narrow per-decision reads
+// (CanAdmitNow, DepImagePopulated, SnapshotRestorableFor,
+// RestoresInFlight).  The cluster drives reclamation on the data plane
+// through the same interface — ProactiveReclaim before routing a burst at
+// a donor host, Drain/Undrain for maintenance, and the
+// EvictReplica/AdoptReplica pair for live replica migration
+// (src/cluster/migration_planner.h).
 // FaasRuntime implements it; the cluster layer (src/cluster/) holds hosts
 // only through HostControl*, so alternative host implementations (remote
 // agents, mocks) slot in.
@@ -42,38 +46,7 @@ struct ReplicaMigrationState {
   uint64_t transfer_bytes() const { return state_bytes + deps_bytes; }
 };
 
-// One consistent view of a host at a routing instant.
-struct HostSnapshot {
-  uint64_t committed = 0;   // Admission-control book (bin-packing quantity).
-  uint64_t capacity = 0;
-  uint64_t available = 0;   // capacity - committed.
-  size_t pending_scaleups = 0;  // Memory-starved scale-ups right now (pressure).
-  bool draining = false;
-  // Whether one more invocation of the queried function can start without
-  // waiting on reclamation.  Only meaningful when Snapshot() was passed a
-  // local function index; false otherwise (and always false while
-  // draining).
-  bool can_admit = false;
-  // Whether the queried function's dependency image is held warm by this
-  // host in the cluster dep cache (a migration here skips deps_bytes on
-  // the wire).  Only meaningful with a local function index and an
-  // attached DepImageRegistry; false otherwise.
-  bool dep_image_populated = false;
-  // Whether the queried function has a valid cluster snapshot recording
-  // this host can restore from (attached registry + restore-capable
-  // driver + recorded) — a migration here ships only the delta beyond
-  // the recording.  Only meaningful with a local function index; false
-  // otherwise.
-  bool snapshot_restorable = false;
-  // Bulk working-set restores (cold-start prefetches and migration
-  // landings) still occupying or queued on this host's single restore
-  // channel.  Each host serializes concurrent RestoreWorkingSet bulk
-  // prefetches, so a destination already restoring delays new arrivals —
-  // the planner penalizes it (function-agnostic; 0 without a registry).
-  size_t restores_in_flight = 0;
-};
-
-// Receives one delta per host-state change instead of polling snapshots.
+// Receives one delta per host-state change instead of polling the host.
 // A host fires it synchronously after ANY change to its committed book,
 // pending scale-up queue, or draining flag — the three quantities routing
 // ranks on — carrying the new absolute values (deltas are idempotent and
@@ -91,52 +64,39 @@ class HostControl {
  public:
   virtual ~HostControl() = default;
 
-  // One consistent committed/pressure/admit read.  `local_fn` is the
-  // host-local function index to admission-check, or -1 for a
-  // function-agnostic snapshot.
-  virtual HostSnapshot Snapshot(int local_fn) const = 0;
-  HostSnapshot Snapshot() const { return Snapshot(-1); }
-
-  // --- Narrow single-field reads (the incremental-index fast path) ----------
-  // Each must equal the corresponding HostSnapshot field read at the same
-  // instant; the defaults derive them from Snapshot() so alternative
-  // HostControl implementations (mocks, remote agents) stay correct
-  // without overriding.  FaasRuntime overrides them with direct O(1)
-  // reads — the indexed placement path asks only for the fields a
-  // decision still needs live (admission probes, residency bits) after
-  // the HostIndex has pre-narrowed the candidates.
-  virtual bool CanAdmitNow(int local_fn) const {
-    return Snapshot(local_fn).can_admit;
-  }
-  virtual bool DepImagePopulated(int local_fn) const {
-    return Snapshot(local_fn).dep_image_populated;
-  }
-  virtual bool SnapshotRestorableFor(int local_fn) const {
-    return Snapshot(local_fn).snapshot_restorable;
-  }
-  virtual size_t RestoresInFlight() const {
-    return Snapshot(-1).restores_in_flight;
-  }
+  // --- Narrow single-field reads (what a decision still needs live) -------
+  // Whether one more invocation of host-local function `local_fn` can
+  // start without waiting on reclamation (always false while draining).
+  virtual bool CanAdmitNow(int local_fn) const = 0;
+  // Whether `local_fn`'s dependency image is held warm by this host in the
+  // cluster dep cache (a migration here skips deps_bytes on the wire);
+  // false without an attached DepImageRegistry.
+  virtual bool DepImagePopulated(int local_fn) const = 0;
+  // Whether `local_fn` has a valid cluster snapshot recording this host
+  // can restore from (attached registry + restore-capable driver +
+  // recorded) — a migration here ships only the delta beyond the
+  // recording.
+  virtual bool SnapshotRestorableFor(int local_fn) const = 0;
+  // Bulk working-set restores (cold-start prefetches and migration
+  // landings) still occupying or queued on this host's single restore
+  // channel.  Each host serializes concurrent RestoreWorkingSet bulk
+  // prefetches, so a destination already restoring delays new arrivals —
+  // the planner penalizes it (0 without a registry).
+  virtual size_t RestoresInFlight() const = 0;
 
   // Subscribes `listener` to this host's state deltas as `host_id` (one
   // listener per host; the host immediately fires one delta with its
-  // current state so the listener starts exact).  Default: snapshots-only
-  // hosts simply never notify.
-  virtual void AttachStateListener(HostStateListener* listener, size_t host_id) {
-    if (listener != nullptr) {
-      const HostSnapshot snap = Snapshot(-1);
-      listener->OnHostState(host_id, snap.committed, snap.pending_scaleups,
-                            snap.draining);
-    }
-  }
+  // current state so the listener starts exact).
+  virtual void AttachStateListener(HostStateListener* listener, size_t host_id) = 0;
 
   // Hint: return >= `bytes` of committed memory soon (evict idle
   // instances, drop slack buffers).  Returns the bytes expected from the
   // reclamation triggered; 0 when nothing is reclaimable.
   virtual uint64_t ProactiveReclaim(uint64_t bytes) = 0;
 
-  // Maintenance drain: the host stops admitting (Snapshot().draining,
-  // can_admit == false) and reclaims aggressively until Undrain().
+  // Maintenance drain: the host stops admitting (draining is delivered to
+  // the listener, CanAdmitNow turns false) and reclaims aggressively
+  // until Undrain().
   virtual void Drain() = 0;
   virtual void Undrain() = 0;
 

@@ -40,7 +40,8 @@ FaasRuntime::FaasRuntime(const RuntimeConfig& config, EventQueue* events)
 
 FaasRuntime::~FaasRuntime() = default;
 
-uint64_t FaasRuntime::BootCommitment(const RuntimeConfig& config, const FunctionSpec& spec,
+uint64_t FaasRuntime::BootCommitment(const RuntimeConfig& config,
+                                     const FunctionSpec& spec,
                                      uint32_t max_concurrency) {
   // A throwaway unbound driver: sizing hooks are pure functions of
   // (config, spec), usable before any runtime exists.  Placement checks
@@ -96,7 +97,8 @@ int FaasRuntime::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
   // the dynamic drivers).
   driver_->OnVmBoot(fn, gcfg.hotplug_region, sizing.deps_region);
   uint64_t boot_commit = driver_->BootCommitment(sizing);
-  if (dep_registry_ != nullptr && driver_->SharedDepsSupported() && sizing.deps_region > 0) {
+  if (dep_registry_ != nullptr && driver_->SharedDepsSupported() &&
+      sizing.deps_region > 0) {
     // Cluster dep cache: the read-only dependency image is charged once
     // per host per image — a VM joining an already-resident image skips
     // its deps share of the boot commitment.
@@ -159,12 +161,13 @@ int FaasRuntime::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
     // Cold misses on the deps file ask the live registry at fault time:
     // wire speed exactly while some peer holds the image warm, cold
     // backing-store IO otherwise — the answer can never go stale.
-    b.guest->page_cache().SetBackingResolver(b.agent->deps_file(), [this, fn]() -> DurationNs {
-      const VmBundle& v = *vms_[static_cast<size_t>(fn)];
-      return dep_registry_->PopulatedElsewhere(host_id_, v.dep_image)
-                 ? cost_.dep_fetch_byte_x1000
-                 : -1;
-    });
+    b.guest->page_cache().SetBackingResolver(
+        b.agent->deps_file(), [this, fn]() -> DurationNs {
+          const VmBundle& v = *vms_[static_cast<size_t>(fn)];
+          return dep_registry_->PopulatedElsewhere(host_id_, v.dep_image)
+                     ? cost_.dep_fetch_byte_x1000
+                     : -1;
+        });
   }
   return fn;
 }
@@ -448,7 +451,8 @@ bool FaasRuntime::TryCancelQueuedUnplug(int fn) {
   return true;
 }
 
-void FaasRuntime::PlugAndGrant(int fn, uint64_t bytes, std::function<void(DurationNs)> ready) {
+void FaasRuntime::PlugAndGrant(int fn, uint64_t bytes,
+                               std::function<void(DurationNs)> ready) {
   VmBundle& b = vm(fn);
   const PlugOutcome out = b.guest->PlugMemory(bytes, events_->now());
   assert(out.complete && "device region must be sized for max concurrency");
@@ -628,28 +632,6 @@ bool FaasRuntime::CanAdmit(int fn) const {
 }
 
 // --- HostControl -------------------------------------------------------------------
-
-HostSnapshot FaasRuntime::Snapshot(int local_fn) const {
-  HostSnapshot s;
-  s.committed = host_.committed();
-  s.capacity = host_.capacity();
-  s.available = host_.available();
-  s.pending_scaleups = pending_.size();
-  s.draining = draining_;
-  s.can_admit = local_fn >= 0 && CanAdmit(local_fn);
-  s.restores_in_flight = restores_in_flight();
-  if (local_fn >= 0 && dep_registry_ != nullptr) {
-    const DepImageId img = vms_[static_cast<size_t>(local_fn)]->dep_image;
-    s.dep_image_populated = img != kNoDepImage && dep_registry_->Populated(host_id_, img);
-  }
-  if (local_fn >= 0 && snap_registry_ != nullptr) {
-    // b.snapshot is only interned when the reclaim driver supports
-    // restores, so a valid id already implies restore capability here.
-    const SnapshotId snap = vms_[static_cast<size_t>(local_fn)]->snapshot;
-    s.snapshot_restorable = snap != kNoSnapshot && snap_registry_->Recorded(snap);
-  }
-  return s;
-}
 
 bool FaasRuntime::DepImagePopulated(int local_fn) const {
   if (local_fn < 0 || dep_registry_ == nullptr) {

@@ -13,9 +13,10 @@
 // happens on acquire/release/pressure is decided by a pluggable
 // ReclaimDriver (src/policy/) resolved from RuntimeConfig::policy.
 //
-// Control plane: the runtime implements HostControl — a cluster scheduler
-// reads one consistent Snapshot per decision and can drive
-// ProactiveReclaim / Drain on this host (src/cluster/).
+// Control plane: the runtime implements HostControl — it pushes every
+// committed/pending/draining change to the cluster's state listener,
+// answers the narrow per-decision reads (CanAdmitNow, ...), and lets the
+// cluster drive ProactiveReclaim / Drain on this host (src/cluster/).
 #ifndef SQUEEZY_FAAS_RUNTIME_H_
 #define SQUEEZY_FAAS_RUNTIME_H_
 
@@ -137,10 +138,8 @@ class FaasRuntime : public HostControl, private ReclaimHost {
   bool draining() const override { return draining_; }
 
   // --- HostControl (the cluster-facing control plane) ------------------------------
-  using HostControl::Snapshot;
-  HostSnapshot Snapshot(int local_fn) const override;
-  // Narrow single-field reads: direct O(1) mirrors of the Snapshot fields
-  // the indexed placement path still checks live per decision.
+  // Narrow single-field reads the placement path checks live per
+  // decision.
   bool CanAdmitNow(int local_fn) const override {
     return local_fn >= 0 && CanAdmit(local_fn);
   }

@@ -1,24 +1,28 @@
 #include "src/sim/sharded_event_queue.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace squeezy {
 
 ShardedEventQueue::ShardedEventQueue(size_t nr_shards, size_t threads,
                                      bool serial_lockstep)
-    : serial_lockstep_(serial_lockstep), global_(EventQueue::Impl::kTimerWheel) {
+    : serial_lockstep_(serial_lockstep) {
   assert(nr_shards > 0);
   shards_.reserve(nr_shards);
   for (size_t i = 0; i < nr_shards; ++i) {
-    shards_.push_back(std::make_unique<EventQueue>(EventQueue::Impl::kTimerWheel));
+    shards_.push_back(std::make_unique<EventQueue>());
     shards_.back()->SetSequenceSource(&seq_);
   }
   global_.SetSequenceSource(&seq_);
   next_.resize(nr_shards + 1);
-  // Serial lockstep never hands work to the pool, so don't spawn one.
-  if (!serial_lockstep_ && threads > 1) {
-    workers_.reserve(threads - 1);
-    for (size_t t = 1; t < threads; ++t) {
+  // Serial lockstep never hands work to the pool, so don't spawn one.  A
+  // phase stripes shards over the pool, so slices beyond the shard count
+  // would only ever idle: the pool is never wider than the shard array.
+  const size_t width = std::min(threads, nr_shards);
+  if (!serial_lockstep_ && width > 1) {
+    workers_.reserve(width - 1);
+    for (size_t t = 1; t < width; ++t) {
       workers_.emplace_back([this, t] { WorkerLoop(t); });
     }
   }

@@ -56,8 +56,9 @@ class ShardedEventQueue {
  public:
   // `nr_shards` per-host wheels + one mailbox queue; `threads` is the
   // total parallelism including the coordinator thread (1 = no workers,
-  // phases run inline).  `serial_lockstep` selects the every-event-is-a-
-  // barrier replay for configurations whose host handlers share state.
+  // phases run inline), clamped to `nr_shards`.  `serial_lockstep`
+  // selects the every-event-is-a-barrier replay for configurations whose
+  // host handlers share state (no workers are spawned then).
   ShardedEventQueue(size_t nr_shards, size_t threads, bool serial_lockstep);
   ~ShardedEventQueue();
   ShardedEventQueue(const ShardedEventQueue&) = delete;
@@ -73,6 +74,7 @@ class ShardedEventQueue {
   const EventQueue& global() const { return global_; }
 
   size_t nr_shards() const { return shards_.size(); }
+  // Pool width actually running phases: workers plus the coordinator.
   size_t threads() const { return workers_.size() + 1; }
   bool serial_lockstep() const { return serial_lockstep_; }
 

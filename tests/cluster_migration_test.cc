@@ -476,30 +476,86 @@ TEST(ClusterMigrationTest, DrainHostIsIdempotent) {
 
 // --- MigrationPlanner decision plane (mocked hosts) -------------------------------
 
-// A scriptable HostControl: the planner judges hosts purely through
-// Snapshot(), so the mock only has to stage those.
+// A scriptable HostControl.  The planner ranks hosts from HostIndex rows
+// and reads only the narrow residency/channel dimensions live, so the
+// mock stages a row — seeded into the index through InitHost and kept
+// exact through the state listener, like a FaasRuntime — plus those reads.
+struct MockState {
+  uint64_t capacity = GiB(4);
+  uint64_t committed = GiB(1);
+  size_t pending = 0;
+  bool draining = false;
+  bool dep_populated = false;
+  bool snapshot_restorable = false;
+};
+
 class MockHost : public HostControl {
  public:
-  explicit MockHost(HostSnapshot snap) : snap_(snap) {}
-  HostSnapshot Snapshot(int) const override { return snap_; }
+  explicit MockHost(MockState state) : state_(state) {}
+  bool CanAdmitNow(int) const override { return !state_.draining; }
+  bool DepImagePopulated(int) const override { return state_.dep_populated; }
+  bool SnapshotRestorableFor(int) const override { return state_.snapshot_restorable; }
+  size_t RestoresInFlight() const override { return 0; }
+  void AttachStateListener(HostStateListener* listener, size_t host_id) override {
+    listener_ = listener;
+    host_id_ = host_id;
+    Notify();
+  }
   uint64_t ProactiveReclaim(uint64_t) override { return 0; }
-  void Drain() override { snap_.draining = true; }
-  void Undrain() override { snap_.draining = false; }
+  void Drain() override {
+    state_.draining = true;
+    Notify();
+  }
+  void Undrain() override {
+    state_.draining = false;
+    Notify();
+  }
   ReplicaMigrationState EvictReplica(int) override { return {}; }
   size_t AdoptableReplicas(int, size_t) const override { return 0; }
   size_t AdoptReplica(int, const ReplicaMigrationState&, TimeNs) override { return 0; }
 
  private:
-  HostSnapshot snap_;
+  void Notify() {
+    if (listener_ != nullptr) {
+      listener_->OnHostState(host_id_, state_.committed, state_.pending, state_.draining);
+    }
+  }
+
+  MockState state_;
+  HostStateListener* listener_ = nullptr;
+  size_t host_id_ = 0;
 };
 
-HostSnapshot PressureSnap(size_t pending, bool draining = false) {
-  HostSnapshot s;
-  s.capacity = GiB(4);
-  s.committed = GiB(1);
-  s.available = s.capacity - s.committed;
-  s.pending_scaleups = pending;
-  s.draining = draining;
+// Mock hosts plus the HostIndex their deltas feed, wired as the Cluster
+// wires its runtimes.
+class MockFleet : private HostStateListener {
+ public:
+  explicit MockFleet(const std::vector<MockState>& states) : index_(states.size()) {
+    for (size_t h = 0; h < states.size(); ++h) {
+      const MockState& s = states[h];
+      index_.InitHost(h, s.committed, s.capacity, s.pending, s.draining);
+      owned_.push_back(std::make_unique<MockHost>(s));
+      owned_.back()->AttachStateListener(this, h);
+      hosts_.push_back(owned_.back().get());
+    }
+  }
+  const std::vector<HostControl*>& hosts() const { return hosts_; }
+  const HostIndex& index() const { return index_; }
+
+ private:
+  void OnHostState(size_t host, uint64_t committed, size_t pending,
+                   bool draining) override {
+    index_.Update(host, committed, pending, draining);
+  }
+
+  HostIndex index_;
+  std::vector<std::unique_ptr<MockHost>> owned_;
+  std::vector<HostControl*> hosts_;
+};
+
+MockState PressureState(size_t pending) {
+  MockState s;
+  s.pending = pending;
   return s;
 }
 
@@ -507,13 +563,8 @@ HostSnapshot PressureSnap(size_t pending, bool draining = false) {
 // min_pending - 1` seed made 0 behave like 1, so an all-idle fleet
 // returned -1 where the threshold-0 contract promises host 0.
 TEST(MigrationPlannerTest, MostPressuredHostHonorsZeroThreshold) {
-  std::vector<std::unique_ptr<MockHost>> owned;
-  std::vector<HostControl*> hosts;
-  for (const size_t pending : {0u, 0u, 0u}) {
-    owned.push_back(std::make_unique<MockHost>(PressureSnap(pending)));
-    hosts.push_back(owned.back().get());
-  }
-  const MigrationPlanner planner(hosts, CostModel::Default());
+  MockFleet fleet({PressureState(0), PressureState(0), PressureState(0)});
+  const MigrationPlanner planner(fleet.hosts(), fleet.index());
   // Threshold 0: every non-draining host qualifies; ties -> lowest index.
   EXPECT_EQ(planner.MostPressuredHost(0), 0);
   // Threshold 1: nobody is starved, so nobody qualifies.
@@ -521,46 +572,34 @@ TEST(MigrationPlannerTest, MostPressuredHostHonorsZeroThreshold) {
 }
 
 TEST(MigrationPlannerTest, MostPressuredHostPicksMaxAboveThreshold) {
-  std::vector<std::unique_ptr<MockHost>> owned;
-  std::vector<HostControl*> hosts;
-  for (const size_t pending : {2u, 7u, 7u, 4u}) {
-    owned.push_back(std::make_unique<MockHost>(PressureSnap(pending)));
-    hosts.push_back(owned.back().get());
-  }
-  const MigrationPlanner planner(hosts, CostModel::Default());
+  MockFleet fleet(
+      {PressureState(2), PressureState(7), PressureState(7), PressureState(4)});
+  const MigrationPlanner planner(fleet.hosts(), fleet.index());
   EXPECT_EQ(planner.MostPressuredHost(1), 1);  // Max pending, tie -> lowest.
   EXPECT_EQ(planner.MostPressuredHost(5), 1);
   EXPECT_EQ(planner.MostPressuredHost(8), -1);  // Nobody meets the bar.
   // A draining host never becomes the victim, even at max pressure.
-  hosts[1]->Drain();
+  fleet.hosts()[1]->Drain();
   EXPECT_EQ(planner.MostPressuredHost(1), 2);
 }
 
 // The snapshot dimension slots below the dep-cache one: fits-all first,
 // then dep-populated, then snapshot-restorable, then most committed.
 TEST(MigrationPlannerTest, RankDestinationsPrefersSnapshotRestorableHosts) {
-  auto snap_with = [](bool dep, bool snap, uint64_t committed) {
-    HostSnapshot s;
+  auto state_with = [](bool dep, bool snap, uint64_t committed) {
+    MockState s;
     s.capacity = GiB(8);
     s.committed = committed;
-    s.available = s.capacity - committed;
-    s.dep_image_populated = dep;
+    s.dep_populated = dep;
     s.snapshot_restorable = snap;
     return s;
   };
-  std::vector<std::unique_ptr<MockHost>> owned;
-  std::vector<HostControl*> hosts;
-  owned.push_back(std::make_unique<MockHost>(PressureSnap(0)));  // src (host 0).
-  owned.push_back(std::make_unique<MockHost>(snap_with(false, false, GiB(3))));
-  owned.push_back(std::make_unique<MockHost>(snap_with(false, true, GiB(1))));
-  owned.push_back(std::make_unique<MockHost>(snap_with(false, true, GiB(2))));
-  owned.push_back(std::make_unique<MockHost>(snap_with(true, false, GiB(1))));
-  for (auto& h : owned) {
-    hosts.push_back(h.get());
-  }
-  const MigrationPlanner planner(hosts, CostModel::Default());
+  MockFleet fleet({PressureState(0),  // src (host 0).
+                   state_with(false, false, GiB(3)), state_with(false, true, GiB(1)),
+                   state_with(false, true, GiB(2)), state_with(true, false, GiB(1))});
+  const MigrationPlanner planner(fleet.hosts(), fleet.index());
   std::vector<Replica> reps;
-  for (size_t h = 0; h < hosts.size(); ++h) {
+  for (size_t h = 0; h < fleet.hosts().size(); ++h) {
     reps.push_back(Replica{h, 0});
   }
   const std::vector<size_t> ranked =
@@ -583,7 +622,8 @@ TEST(MigrationPlannerTest, RankDestinationsPrefersSnapshotRestorableHosts) {
 // adopted instances bulk-restore it on arrival, then serve warm.
 TEST(ClusterMigrationTest, SnapshotHitMigrationShipsOnlyTheDelta) {
   auto run = [](bool snapshots, uint64_t* wire_bytes) {
-    ClusterConfig cfg = BaseConfig(ReclaimPolicy::kSqueezy, MigrationMode::kMigrateOnDrain);
+    ClusterConfig cfg =
+        BaseConfig(ReclaimPolicy::kSqueezy, MigrationMode::kMigrateOnDrain);
     cfg.shared_snapshots = snapshots;
     Cluster cluster(cfg);
     for (int f = 0; f < 4; ++f) {

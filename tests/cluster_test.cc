@@ -173,16 +173,35 @@ TEST(ClusterTest, BinPackBeatsRoundRobinOnPendingScaleups) {
 // rotation placed 10/4/10/0 across hosts 0-3 over 24 single-replica
 // registrations — host 3 starved even when eligible, low-index hosts
 // overloaded.  The cursor now advances in stable host-index space.
+// Feeds host state deltas into a HostIndex, as the Cluster does.
+class IndexFeed : public HostStateListener {
+ public:
+  explicit IndexFeed(HostIndex* index) : index_(index) {}
+  void OnHostState(size_t host, uint64_t committed, size_t pending,
+                   bool draining) override {
+    index_->Update(host, committed, pending, draining);
+  }
+
+ private:
+  HostIndex* index_;
+};
+
 TEST(ClusterTest, RoundRobinPlacementFairUnderFlappingEligibility) {
   RuntimeConfig rc;
   rc.host_capacity = GiB(4);
+  HostIndex index(4);
+  IndexFeed feed(&index);
   std::vector<std::unique_ptr<FaasRuntime>> hosts;
   std::vector<HostControl*> raw;
-  for (int h = 0; h < 4; ++h) {
+  for (size_t h = 0; h < 4; ++h) {
     hosts.push_back(std::make_unique<FaasRuntime>(rc));
-    raw.push_back(hosts.back().get());
+    FaasRuntime& host = *hosts.back();
+    index.InitHost(h, host.committed(), host.host_capacity(), host.pending_scaleups(),
+                   host.draining());
+    host.AttachStateListener(&feed, h);
+    raw.push_back(&host);
   }
-  ClusterScheduler sched(PlacementPolicy::kRoundRobin, raw);
+  ClusterScheduler sched(PlacementPolicy::kRoundRobin, raw, index);
   std::vector<int> placed_on(4, 0);
   for (int i = 0; i < 24; ++i) {
     if (i % 2 == 1) {

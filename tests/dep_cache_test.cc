@@ -247,9 +247,15 @@ TEST(DepCacheColdStartTest, PeerResidentImageSkipsColdIo) {
     // instance's fully-cached image and marks host 0 populated), then a
     // cold start on host 1.
     Cluster& c = *cluster;
-    c.events().ScheduleAt(Sec(1), [&c, reps] { c.host(reps[0].host).agent(reps[0].local_fn).Submit(); });
-    c.events().ScheduleAt(Sec(30), [&c, reps] { c.host(reps[0].host).agent(reps[0].local_fn).Submit(); });
-    c.events().ScheduleAt(Sec(60), [&c, reps] { c.host(reps[1].host).agent(reps[1].local_fn).Submit(); });
+    c.events().ScheduleAt(Sec(1), [&c, reps] {
+      c.host(reps[0].host).agent(reps[0].local_fn).Submit();
+    });
+    c.events().ScheduleAt(Sec(30), [&c, reps] {
+      c.host(reps[0].host).agent(reps[0].local_fn).Submit();
+    });
+    c.events().ScheduleAt(Sec(60), [&c, reps] {
+      c.host(reps[1].host).agent(reps[1].local_fn).Submit();
+    });
     c.RunUntil(Minutes(2));
     return cluster;
   };
@@ -272,7 +278,8 @@ TEST(DepCacheColdStartTest, PeerResidentImageSkipsColdIo) {
   const std::vector<Replica>& rw = with->replicas(0);
   const std::vector<Replica>& ro = without->replicas(0);
   const auto& cold_with = with->host(rw[1].host).agent(rw[1].local_fn).cold_starts();
-  const auto& cold_without = without->host(ro[1].host).agent(ro[1].local_fn).cold_starts();
+  const auto& cold_without =
+      without->host(ro[1].host).agent(ro[1].local_fn).cold_starts();
   ASSERT_EQ(cold_with.size(), 1u);
   ASSERT_EQ(cold_without.size(), 1u);
   EXPECT_LT(cold_with[0].total(), cold_without[0].total());
@@ -294,7 +301,8 @@ TEST(DepCacheColdStartTest, SiblingVmAdoptsHostResidentImage) {
   const int b = rt.AddFunction(spec, 4);
 
   rt.events().ScheduleAt(Sec(1), [&rt, a] { rt.agent(a).Submit(); });
-  rt.events().ScheduleAt(Sec(30), [&rt, a] { rt.agent(a).Submit(); });  // Marks populated.
+  // The second acquire marks the image populated.
+  rt.events().ScheduleAt(Sec(30), [&rt, a] { rt.agent(a).Submit(); });
   rt.events().ScheduleAt(Sec(60), [&rt, b] { rt.agent(b).Submit(); });
   rt.RunUntil(Minutes(2));
 
@@ -308,9 +316,7 @@ TEST(DepCacheColdStartTest, SiblingVmAdoptsHostResidentImage) {
 // --- Migration wire skip -------------------------------------------------------------
 
 TEST(DepCachePricingTest, DepHitPricesStrictlyCheaperThanFullTransfer) {
-  RuntimeConfig cfg;
-  FaasRuntime host(cfg);
-  MigrationPlanner planner({static_cast<HostControl*>(&host)}, cfg.cost);
+  const CostModel cost = RuntimeConfig{}.cost;
 
   ReplicaMigrationState full;
   full.warm_instances = 2;
@@ -320,8 +326,9 @@ TEST(DepCachePricingTest, DepHitPricesStrictlyCheaperThanFullTransfer) {
   ReplicaMigrationState hit = full;
   hit.deps_bytes = 0;
 
-  const StateTransferCost c_full = planner.TransferCost(full);
-  const StateTransferCost c_hit = planner.TransferCost(hit, /*dep_cache_hit=*/true);
+  const StateTransferCost c_full = MigrationTransferCost(cost, full);
+  const StateTransferCost c_hit =
+      MigrationTransferCost(cost, hit, /*dep_cache_hit=*/true);
   EXPECT_LT(c_hit.total(), c_full.total());
   EXPECT_LT(c_hit.bytes_sent, c_full.bytes_sent);
   EXPECT_GE(c_full.bytes_sent - c_hit.bytes_sent, MiB(128));  // Deps never resent either.
@@ -353,9 +360,13 @@ DrainOutcome RunDrainMigration(bool with_cache) {
   // destination so its image is populated), then drain the source.
   Cluster* c = &cluster;
   for (const TimeNs t : {Sec(1), Sec(20)}) {
-    c->events().ScheduleAt(t, [c, reps] { c->host(reps[0].host).agent(reps[0].local_fn).Submit(); });
+    c->events().ScheduleAt(t, [c, reps] {
+      c->host(reps[0].host).agent(reps[0].local_fn).Submit();
+    });
   }
-  c->events().ScheduleAt(Sec(1), [c, reps] { c->host(reps[1].host).agent(reps[1].local_fn).Submit(); });
+  c->events().ScheduleAt(Sec(1), [c, reps] {
+    c->host(reps[1].host).agent(reps[1].local_fn).Submit();
+  });
   cluster.RunUntil(Minutes(1));
   cluster.DrainHost(reps[0].host);
   cluster.RunUntil(Minutes(2));
@@ -392,7 +403,9 @@ TEST(DepCacheMigrationTest, CacheOnWithNonSharingDriverMigratesAtFullPrice) {
   EXPECT_EQ(cluster.host(reps[0].host).dep_image(reps[0].local_fn), kNoDepImage);
 
   Cluster* c = &cluster;
-  c->events().ScheduleAt(Sec(1), [c, reps] { c->host(reps[0].host).agent(reps[0].local_fn).Submit(); });
+  c->events().ScheduleAt(Sec(1), [c, reps] {
+    c->host(reps[0].host).agent(reps[0].local_fn).Submit();
+  });
   cluster.RunUntil(Minutes(1));
   cluster.DrainHost(reps[0].host);  // Crashed here before the kNoDepImage guard.
   cluster.RunUntil(Minutes(2));
@@ -437,7 +450,9 @@ TEST(DepCacheEvictionTest, DrainReleasesImageCommitmentThroughDriver) {
   // Resident and charged at boot.
   EXPECT_EQ(cluster.host(victim).committed(), MiB(128) + DepsRegion(spec));
   Cluster* c = &cluster;
-  c->events().ScheduleAt(Sec(1), [c, reps] { c->host(reps[0].host).agent(reps[0].local_fn).Submit(); });
+  c->events().ScheduleAt(Sec(1), [c, reps] {
+    c->host(reps[0].host).agent(reps[0].local_fn).Submit();
+  });
   cluster.RunUntil(Sec(20));
   const DepImageId img = cluster.host(victim).dep_image(reps[0].local_fn);
   EXPECT_EQ(cluster.dep_cache()->RefCount(victim, img), 1u);
@@ -456,12 +471,14 @@ TEST(DepCacheEvictionTest, DrainReleasesImageCommitmentThroughDriver) {
   // Undrain: the next cold start re-charges the image before any
   // instance maps it (conserving the book in the other direction).
   cluster.UndrainHost(victim);
-  c->events().ScheduleAt(cluster.events().now() + Sec(1),
-                         [c, reps] { c->host(reps[0].host).agent(reps[0].local_fn).Submit(); });
+  c->events().ScheduleAt(cluster.events().now() + Sec(1), [c, reps] {
+    c->host(reps[0].host).agent(reps[0].local_fn).Submit();
+  });
   cluster.RunUntil(cluster.events().now() + Sec(20));
   EXPECT_TRUE(cluster.dep_cache()->Resident(victim, img));
   EXPECT_EQ(cluster.host(victim).committed(),
-            MiB(128) + DepsRegion(spec) + BytesToBlocks(spec.memory_limit) * kMemoryBlockBytes);
+            MiB(128) + DepsRegion(spec) +
+                BytesToBlocks(spec.memory_limit) * kMemoryBlockBytes);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/placement_scan_oracle.h"
+#include "tests/reference_event_queue.h"
 
 namespace squeezy {
 namespace {
@@ -59,8 +61,8 @@ TEST_P(GuestFuzzTest, MixedOperationsKeepInvariants) {
       }
       case 1: {  // Exit.
         if (!live.empty()) {
-          const size_t i =
-              static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+          const size_t i = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
           guest.Exit(live[i]);
           live[i] = live.back();
           live.pop_back();
@@ -208,7 +210,8 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, SqueezyFuzzTest,
     testing::Combine(testing::Values(128u, 256u, 768u), testing::Values(2u, 4u, 8u),
                      testing::Values(1u, 2u)),
-    [](const testing::TestParamInfo<std::tuple<uint64_t, uint32_t, uint64_t>>& param_info) {
+    [](const testing::TestParamInfo<std::tuple<uint64_t, uint32_t, uint64_t>>&
+           param_info) {
       return "p" + std::to_string(std::get<0>(param_info.param)) + "mib_n" +
              std::to_string(std::get<1>(param_info.param)) + "_s" +
              std::to_string(std::get<2>(param_info.param));
@@ -236,10 +239,11 @@ TEST_P(ReclaimScalingTest, SqueezyUnplugLinearInBlocks) {
   const UnplugOutcome out = guest.UnplugMemory(scfg.partition_bytes, 0);
   ASSERT_TRUE(out.complete);
   // Latency = request fixed + blocks * (scan + offline + exit).
-  const DurationNs per_block = cost.isolate_page * kPagesPerBlock + cost.block_offline_fixed +
-                               cost.block_unplug_exit;
+  const DurationNs per_block = cost.isolate_page * kPagesPerBlock +
+                               cost.block_offline_fixed + cost.block_unplug_exit;
   const DurationNs expected =
-      cost.unplug_request_fixed + static_cast<DurationNs>(BytesToBlocks(mib * MiB(1))) * per_block;
+      cost.unplug_request_fixed +
+      static_cast<DurationNs>(BytesToBlocks(mib * MiB(1))) * per_block;
   EXPECT_EQ(out.latency(), expected);
 }
 
@@ -249,17 +253,17 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ReclaimScalingTest,
                            return std::to_string(param_info.param) + "mib";
                          });
 
-// --- Timer-wheel fuzz: wheel vs the old binary heap, op for op -----------------
+// --- Timer-wheel fuzz: wheel vs the reference binary heap, op for op -----------
 
 // The determinism contract — events fire in pure (timestamp, scheduling
 // sequence) order, cancellations only remove their own event, the clock
 // advances identically — must hold for ANY interleaving of ScheduleAt /
 // ScheduleAfter / Cancel / AdvanceBy / RunUntil, including events that
-// schedule and cancel other events from inside their handlers.  The old
-// single priority queue survives as EventQueue::Impl::kBinaryHeap, so it
-// IS the reference model: both implementations replay one random op
-// script and must produce identical ids, cancel results, firing logs,
-// clocks and pending counts at every checkpoint.
+// schedule and cancel other events from inside their handlers.  The
+// single priority queue the wheel replaced (tests/reference_event_queue.h)
+// IS the reference model: both queues replay one random op script and
+// must produce identical ids, cancel results, firing logs, clocks and
+// pending counts at every checkpoint.
 class EventQueueWheelFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 namespace event_queue_fuzz {
@@ -279,8 +283,9 @@ struct Replay {
   std::vector<size_t> pendings;    // pending() after every RunUntil.
 };
 
-inline Replay Run(EventQueue::Impl impl, const std::vector<Op>& script) {
-  EventQueue q(impl);
+template <typename Queue>
+Replay Run(const std::vector<Op>& script) {
+  Queue q;
   Replay r;
   // Handlers are pure functions of their tag, so both queues behave
   // identically as long as they fire in the same order.
@@ -371,10 +376,8 @@ TEST_P(EventQueueWheelFuzzTest, WheelMatchesHeapReferenceExactly) {
   }
   script.push_back({Op::kRunUntil, Minutes(3), 0});
 
-  const event_queue_fuzz::Replay wheel =
-      event_queue_fuzz::Run(EventQueue::Impl::kTimerWheel, script);
-  const event_queue_fuzz::Replay heap =
-      event_queue_fuzz::Run(EventQueue::Impl::kBinaryHeap, script);
+  const event_queue_fuzz::Replay wheel = event_queue_fuzz::Run<EventQueue>(script);
+  const event_queue_fuzz::Replay heap = event_queue_fuzz::Run<ReferenceHeapQueue>(script);
 
   EXPECT_EQ(wheel.ids, heap.ids);
   EXPECT_EQ(wheel.cancel_results, heap.cancel_results);
@@ -463,8 +466,8 @@ TEST_P(ClusterMigrationFuzzTest, RandomDrainMigrateUndrainConservesFleetMemory) 
   for (int step = 0; step < 30; ++step) {
     t += Sec(rng.UniformInt(2, 20));
     cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
+    const size_t h = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
     switch (rng.UniformInt(0, 3)) {
       case 0:
         cluster.DrainHost(h);  // Migrates warm replicas off, then drains.
@@ -630,8 +633,8 @@ TEST_P(DepCacheFuzzTest, ResidencyRefcountsAndBooksConserved) {
   for (int step = 0; step < 30; ++step) {
     t += Sec(rng.UniformInt(2, 20));
     cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
+    const size_t h = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
     switch (rng.UniformInt(0, 3)) {
       case 0:
         cluster.DrainHost(h);
@@ -759,8 +762,8 @@ TEST_P(SnapshotFuzzTest, RestoreDiscountsUnwindUnderDrainMigrateChurn) {
   for (int step = 0; step < 30; ++step) {
     t += Sec(rng.UniformInt(2, 20));
     cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
+    const size_t h = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
     switch (rng.UniformInt(0, 3)) {
       case 0:
         cluster.DrainHost(h);
@@ -896,8 +899,8 @@ TEST_P(SnapshotMigrationFuzzTest, DeltaTransfersConserveBooksUnderChurn) {
   for (int step = 0; step < 30; ++step) {
     t += Sec(rng.UniformInt(2, 16));
     cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
+    const size_t h = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
     switch (rng.UniformInt(0, 3)) {
       case 0:
       case 1:
@@ -945,13 +948,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 // queue at any thread count" (src/sim/sharded_event_queue.h).  One random
 // churn script — drain/undrain/pressure-migrate while a skewed trace runs
 // — is replayed under the single-queue wheel and under kSharded at 1, 2
-// and 8 threads, with the shared registries both attached (serial
+// and 8 requested threads (the pool is capped at one thread per host, so
+// 8 runs as 4), with the shared registries both attached (serial
 // lockstep: handlers touch cross-host state) and detached (parallel
 // epochs: the fast path).  Every replay must produce a byte-identical
 // fleet digest: per-request firing logs, cold-start breakdowns, host
 // books, migration records, the routing hash and the fleet summary.
 class ShardedVsSingleQueueFuzzTest
-    : public testing::TestWithParam<std::tuple<bool /*registries*/, uint64_t /*seed*/>> {};
+    : public testing::TestWithParam<
+          std::tuple<bool /*registries*/, uint64_t /*seed*/>> {};
 
 namespace sharded_fuzz {
 
@@ -997,22 +1002,40 @@ inline std::string FleetDigest(Cluster& cluster, TimeNs horizon) {
   return os.str();
 }
 
+// Called after every event of a stepped run (and after each churn op).
+using EventHook = std::function<void(Cluster&)>;
+
+// Runs the cluster's single queue to `t` one event at a time, calling
+// `hook` after each — the same firing order and final clock as
+// Cluster::RunUntil(t).
+inline void StepUntil(Cluster& cluster, TimeNs t, const EventHook& hook) {
+  EventQueue& q = cluster.events();
+  TimeNs when = 0;
+  uint64_t seq = 0;
+  while (q.PeekNext(&when, &seq) && when <= t) {
+    q.RunOne();
+    hook(cluster);
+  }
+  q.SyncNow(t);
+}
+
 // One full churn run: build the fleet, run the trace with random
 // drain/undrain/pressure churn, quiesce, digest.  Every input is a pure
-// function of (impl, threads, registries, seed, placement knobs) — and
-// the digest must be a pure function of (registries, seed, policy) alone:
-// neither the kernel impl, the thread count, nor the placement impl may
-// leak into it.
+// function of (impl, threads, registries, seed, policy) — and the digest
+// must be a pure function of (registries, seed, policy) alone: neither
+// the kernel impl nor the thread count may leak into it.  With a `hook`
+// (single-queue wheel only) the run is stepped event by event and the
+// hook observes the fleet after every event and churn op; it must not
+// change the digest.
 inline std::string RunChurn(EventQueue::Impl impl, size_t threads, bool registries,
                             uint64_t seed,
-                            PlacementImpl placement_impl = PlacementImpl::kDefault,
-                            PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack) {
+                            PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack,
+                            const EventHook& hook = nullptr) {
   constexpr int kFunctions = 4;
   constexpr uint32_t kConcurrency = 8;
   ClusterConfig cfg;
   cfg.nr_hosts = 4;
   cfg.placement = policy;
-  cfg.placement_impl = placement_impl;
   cfg.migration = MigrationMode::kMigrateOnDrain;
   cfg.pressure_migrate_min_pending = 1;
   cfg.shared_dep_cache = registries;
@@ -1056,7 +1079,11 @@ inline std::string RunChurn(EventQueue::Impl impl, size_t threads, bool registri
   TimeNs t = 0;
   for (int step = 0; step < 24; ++step) {
     t += Sec(rng.UniformInt(2, 15));
-    cluster.RunUntil(t);
+    if (hook) {
+      StepUntil(cluster, t, hook);
+    } else {
+      cluster.RunUntil(t);
+    }
     const size_t h = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
     switch (rng.UniformInt(0, 3)) {
@@ -1072,8 +1099,17 @@ inline std::string RunChurn(EventQueue::Impl impl, size_t threads, bool registri
       case 3:
         break;  // Let the trace run.
     }
+    if (hook) {
+      hook(cluster);
+    }
   }
-  cluster.RunAll();
+  if (hook) {
+    while (cluster.events().RunOne()) {
+      hook(cluster);
+    }
+  } else {
+    cluster.RunAll();
+  }
   return FleetDigest(cluster, Minutes(6));
 }
 
@@ -1101,39 +1137,76 @@ INSTANTIATE_TEST_SUITE_P(
              "_s" + std::to_string(std::get<1>(param_info.param));
     });
 
-// --- Indexed placement fuzz: HostIndex decisions vs the snapshot scan ------------
+// --- Per-event placement oracle: every HostIndex query vs the scan ------------
 //
-// The placement index's whole contract is "bit-identical decisions to the
-// full O(hosts) snapshot scan" (src/cluster/host_index.h).  The same churn
-// script as the sharded fuzz — drains, undrains and pressure migrations
+// The placement index's whole contract is "every query equals a full scan
+// over the hosts' live books" (src/cluster/host_index.h).  The sharded
+// fuzz's churn script — drains, undrains and pressure migrations
 // interleaved with a skewed trace, i.e. every operation that mutates the
-// index mid-run — is replayed op-for-op under PlacementImpl::kScan and
-// PlacementImpl::kIndexed for every placement policy, with the shared
-// registries both on (snapshot restores + dep-cache adoption change which
-// hosts can admit) and off.  The byte-identical fleet digest covers every
-// placement consequence: per-request logs, routing hash, migration
-// records, host books and the fleet summary.
-class IndexedVsScanPlacementFuzzTest
+// index mid-run — is stepped one event at a time for every placement
+// policy, with the shared registries both on (snapshot restores and
+// dep-cache adoption change which hosts can admit) and off.  After every
+// event and churn op, every query (rows, bin-pack pick under the hosts'
+// live CanAdmitNow, least-committed tied set, round-robin members,
+// placement candidates, pressure victim) must equal the scan oracle
+// (tests/placement_scan_oracle.h) over FaasRuntime's public books.  Each
+// event routes at most once, and the state a Route reads is the state
+// after the previous event, so this covers every decision instant.  The
+// stepped run's digest must equal a plain RunUntil run's: the checks are
+// read-only.
+class PerEventPlacementOracleTest
     : public testing::TestWithParam<std::tuple<PlacementPolicy, bool /*registries*/>> {};
 
-TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanThroughChurn) {
+TEST_P(PerEventPlacementOracleTest, EveryIndexQueryMatchesTheScanAfterEveryEvent) {
   const auto [policy, registries] = GetParam();
   for (const uint64_t seed : {1u, 2u, 3u}) {
-    const std::string scan =
-        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, 1, registries, seed,
-                               PlacementImpl::kScan, policy);
-    const std::string indexed =
-        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, 1, registries, seed,
-                               PlacementImpl::kIndexed, policy);
-    EXPECT_EQ(scan, indexed)
-        << "indexed placement diverged from the snapshot scan under "
-        << PlacementPolicyName(policy) << " (registries "
-        << (registries ? "on" : "off") << ", seed " << seed << ")";
+    uint64_t checks = 0;
+    uint64_t decisions = 0;
+    testing::AssertionResult first_mismatch = testing::AssertionSuccess();
+    const sharded_fuzz::EventHook check = [&](Cluster& cluster) {
+      ++checks;
+      decisions = cluster.scheduler().decisions();
+      if (!first_mismatch) {
+        return;  // Report the first divergence, not its echoes.
+      }
+      std::vector<std::vector<size_t>> fn_hosts(cluster.function_count());
+      std::vector<uint64_t> needs = {0};
+      for (size_t fn = 0; fn < fn_hosts.size(); ++fn) {
+        for (const Replica& r : cluster.replicas(static_cast<int>(fn))) {
+          fn_hosts[fn].push_back(r.host);
+        }
+      }
+      const std::vector<scan_oracle::Row> rows = scan_oracle::RowsOf(cluster);
+      for (const scan_oracle::Row& row : rows) {
+        needs.push_back(row.available());  // Exact-fit boundaries.
+      }
+      const auto can_admit = [&](int fn, size_t i) {
+        const Replica& r = cluster.replicas(fn)[i];
+        return cluster.host(r.host).CanAdmitNow(r.local_fn);
+      };
+      first_mismatch = scan_oracle::IndexMatchesScan(cluster.host_index(), rows, fn_hosts,
+                                                     can_admit, needs, {0, 1, 2, 4});
+      if (!first_mismatch) {
+        first_mismatch << " diverged at check " << checks
+                       << ", t=" << cluster.events().now();
+      }
+    };
+    const std::string stepped = sharded_fuzz::RunChurn(
+        EventQueue::Impl::kTimerWheel, 1, registries, seed, policy, check);
+    const std::string plain = sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, 1,
+                                                     registries, seed, policy);
+    const std::string where = std::string(PlacementPolicyName(policy)) + ", registries " +
+                              (registries ? "on" : "off") + ", seed " +
+                              std::to_string(seed);
+    EXPECT_TRUE(first_mismatch) << where;
+    EXPECT_EQ(stepped, plain) << "the oracle checks changed the run (" << where << ")";
+    EXPECT_GT(decisions, 0u) << where;
+    EXPECT_GE(checks, decisions) << where;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Placements, IndexedVsScanPlacementFuzzTest,
+    Placements, PerEventPlacementOracleTest,
     testing::Combine(testing::Values(PlacementPolicy::kRoundRobin,
                                      PlacementPolicy::kLeastCommitted,
                                      PlacementPolicy::kMemoryAwareBinPack,

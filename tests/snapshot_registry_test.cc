@@ -127,19 +127,6 @@ TEST(SnapshotStoreTest, RecordMigrationHitAccumulatesStats) {
 
 // --- Migration transfer pricing ------------------------------------------------------
 
-// The planner only reads hosts through Snapshot(); TransferCost never
-// touches them, so an inert stub satisfies the constructor.
-class InertHost : public HostControl {
- public:
-  HostSnapshot Snapshot(int) const override { return HostSnapshot{}; }
-  uint64_t ProactiveReclaim(uint64_t) override { return 0; }
-  void Drain() override {}
-  void Undrain() override {}
-  ReplicaMigrationState EvictReplica(int) override { return {}; }
-  size_t AdoptableReplicas(int, size_t) const override { return 0; }
-  size_t AdoptReplica(int, const ReplicaMigrationState&, TimeNs) override { return 0; }
-};
-
 // Locks the price ladder across the three transfer generations: the PR 3
 // full transfer > the PR 4 dep-cache hit > this PR's snapshot + dep hit —
 // on total time AND on wire bytes.  The snapshot hit prefetches the
@@ -147,20 +134,20 @@ class InertHost : public HostControl {
 // ~1.04 ns/B per pre-copy round, so it wins whenever the recording
 // outweighs the fixed restore setup.
 TEST(SnapshotMigrationCostTest, SnapshotHitPricesBelowDepHitBelowFull) {
-  InertHost host;
-  const MigrationPlanner planner({&host}, CostModel::Default());
+  const CostModel cost = CostModel::Default();
 
   ReplicaMigrationState full;
   full.warm_instances = 4;
   full.state_bytes = MiB(384);
   full.deps_bytes = MiB(64);
   full.busy_fraction = 0.25;
-  const StateTransferCost full_cost = planner.TransferCost(full);
+  const StateTransferCost full_cost = MigrationTransferCost(cost, full);
 
   // Dep-cache hit (PR 4 shape): the caller zeroes deps_bytes.
   ReplicaMigrationState dep = full;
   dep.deps_bytes = 0;
-  const StateTransferCost dep_cost = planner.TransferCost(dep, /*dep_cache_hit=*/true);
+  const StateTransferCost dep_cost =
+      MigrationTransferCost(cost, dep, /*dep_cache_hit=*/true);
 
   // Snapshot + dep hit (this PR's shape): the caller additionally moves
   // the recorded portion out of state_bytes — only the delta ships.
@@ -168,7 +155,7 @@ TEST(SnapshotMigrationCostTest, SnapshotHitPricesBelowDepHitBelowFull) {
   snap.recorded_bytes = MiB(288);  // 3 of the 4 instances fully recorded.
   snap.state_bytes -= snap.recorded_bytes;
   const StateTransferCost snap_cost =
-      planner.TransferCost(snap, /*dep_cache_hit=*/true, /*snapshot_hit=*/true);
+      MigrationTransferCost(cost, snap, /*dep_cache_hit=*/true, /*snapshot_hit=*/true);
 
   EXPECT_LT(dep_cost.total(), full_cost.total());
   EXPECT_LT(snap_cost.total(), dep_cost.total());
@@ -176,8 +163,7 @@ TEST(SnapshotMigrationCostTest, SnapshotHitPricesBelowDepHitBelowFull) {
   EXPECT_LT(snap_cost.bytes_sent, dep_cost.bytes_sent);
   // The discounts are attach terms, not freebies: both hit prices carry
   // their fixed costs on top of the delta's wire time.
-  const CostModel cost = CostModel::Default();
-  const StateTransferCost delta_only = planner.TransferCost(snap);
+  const StateTransferCost delta_only = MigrationTransferCost(cost, snap);
   EXPECT_EQ(snap_cost.total(), delta_only.total() + cost.dep_cache_hit_fixed +
                                    cost.SnapshotAttach(snap.recorded_bytes));
   EXPECT_EQ(snap_cost.bytes_sent, delta_only.bytes_sent);
@@ -205,7 +191,8 @@ TEST(SnapshotRestoreTest, RecordedFunctionRestoresAfterEvict) {
 
   EXPECT_EQ(store.stats().recordings, 1u);
   EXPECT_EQ(store.stats().restores, 1u);
-  EXPECT_EQ(store.Image(rt.snapshot_id(fn)).heap_bytes, SnapSpec("restore").anon_working_set);
+  EXPECT_EQ(store.Image(rt.snapshot_id(fn)).heap_bytes,
+            SnapSpec("restore").anon_working_set);
 
   const std::vector<ColdStartBreakdown>& colds = rt.agent(fn).cold_starts();
   ASSERT_EQ(colds.size(), 2u);
@@ -275,7 +262,8 @@ TEST(SnapshotCommitmentTest, SqueezyReservesRestoredCommitmentAndUnwinds) {
   // set — MiB(96) rounds to one 128 MiB block.
   uint64_t committed_restored = 0;
   rt.events().ScheduleAt(Minutes(2), [&rt, fn] { rt.agent(fn).Submit(); });
-  rt.events().ScheduleAt(Minutes(2) + Sec(10), [&] { committed_restored = rt.committed(); });
+  rt.events().ScheduleAt(Minutes(2) + Sec(10),
+                         [&] { committed_restored = rt.committed(); });
   rt.RunUntil(Minutes(5));
 
   EXPECT_EQ(committed_first, boot + plug_unit);
@@ -439,7 +427,8 @@ DurationNs FirstStart(const FunctionSpec& spec, bool dep, bool snap) {
     FaasRuntime recorder(cfg);
     recorder.AttachSnapshotRegistry(&store);
     const int rfn = recorder.AddFunction(spec, 4);
-    recorder.events().ScheduleAt(Sec(1), [&recorder, rfn] { recorder.agent(rfn).Submit(); });
+    recorder.events().ScheduleAt(Sec(1),
+                                 [&recorder, rfn] { recorder.agent(rfn).Submit(); });
     recorder.RunUntil(Minutes(1));
   }
   DepCache cache(2);

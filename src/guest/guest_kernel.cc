@@ -8,53 +8,73 @@
 namespace squeezy {
 namespace {
 
-// The page-cache misses of one file fault: the uncached page indices in
-// file order, and the frames the first `allocated` of them got.
+// The page-cache misses of one file fault, as the runs of frames they got
+// in index order, plus where the fault stopped.
 struct FileMisses {
-  std::vector<uint32_t> idx;
-  std::vector<Pfn> pfns;
+  std::vector<PageCache::Extent> runs;
   uint64_t allocated = 0;
+  uint64_t reached = 0;  // The fault's end, or the first miss left without a frame.
+  bool oom = false;
 };
 
-// Allocates a frame for each of file_id's uncached pages below `pages`, in
-// index order, and inserts it into the page cache: from `zone` while it
-// lasts, then from `fallback` (if any).  Each zone hands out its share as
-// one run, exactly the frames the per-page fault loop would pick; the
-// first miss that gets no frame ends the fault there.
+// Allocates frames for file_id's uncached pages below `pages`, a hole of
+// the cache at a time in index order, and adds them to the page cache:
+// from `zone` while it lasts, then from `fallback` (if any).  Each hole
+// takes exactly the frames the per-page fault loop would pick, as runs;
+// the first miss that gets no frame ends the fault there.
 FileMisses FaultFileMisses(PageCache& cache, int32_t file_id, uint64_t pages, Zone* zone,
                            Zone* fallback) {
   FileMisses m;
-  for (uint64_t i = 0; i < pages; ++i) {
-    if (!cache.Cached(file_id, i)) {
-      m.idx.push_back(static_cast<uint32_t>(i));
+  m.reached = pages;
+  std::vector<PfnRun> got;
+  // Allocates hole [first, first + n).
+  auto fill = [&](uint64_t first, uint64_t n) {
+    got.clear();
+    const uint32_t slot = static_cast<uint32_t>(first);
+    uint64_t taken = zone->AllocPages(n, PageKind::kFile, file_id, slot, &got);
+    if (taken < n && fallback != nullptr) {
+      taken += fallback->AllocPages(n - taken, PageKind::kFile, file_id,
+                                    slot + static_cast<uint32_t>(taken), &got);
     }
+    uint32_t idx = slot;
+    for (const PfnRun& run : got) {
+      m.runs.push_back(PageCache::Extent{idx, run.count, run.first});
+      idx += run.count;
+    }
+    m.allocated += taken;
+    if (taken < n) {
+      m.reached = first + taken;
+      m.oom = true;
+    }
+  };
+  uint64_t next = 0;  // The end of the cached extents walked so far.
+  for (const PageCache::Extent& e : cache.extents(file_id)) {
+    if (e.idx >= pages || m.oom) {
+      break;
+    }
+    if (next < e.idx) {
+      fill(next, e.idx - next);
+    }
+    next = e.end();
   }
-  const uint64_t n = m.idx.size();
-  m.pfns.resize(n);
-  m.allocated =
-      zone->AllocPages(n, PageKind::kFile, file_id, m.idx.data(), m.pfns.data());
-  if (m.allocated < n && fallback != nullptr) {
-    m.allocated +=
-        fallback->AllocPages(n - m.allocated, PageKind::kFile, file_id,
-                             m.idx.data() + m.allocated, m.pfns.data() + m.allocated);
+  if (!m.oom && next < pages) {
+    fill(next, pages - next);
   }
-  for (uint64_t i = 0; i < m.allocated; ++i) {
-    cache.Insert(file_id, m.idx[i], m.pfns[i]);
-  }
+  cache.AddRuns(file_id, m.runs);
   return m;
 }
 
 // Calls fn(first, count) for each maximal run of consecutive frames among
-// the allocated misses.
+// the allocated misses, in allocation order.
 template <typename Fn>
 void ForEachRun(const FileMisses& m, Fn&& fn) {
-  for (uint64_t i = 0; i < m.allocated;) {
-    uint64_t j = i + 1;
-    while (j < m.allocated && m.pfns[j] == m.pfns[j - 1] + 1) {
-      ++j;
+  for (size_t i = 0; i < m.runs.size();) {
+    const Pfn first = m.runs[i].pfn;
+    uint32_t count = m.runs[i].count;
+    for (++i; i < m.runs.size() && m.runs[i].pfn == first + count; ++i) {
+      count += m.runs[i].count;
     }
-    fn(m.pfns[i], static_cast<uint32_t>(j - i));
-    i = j;
+    fn(first, count);
   }
 }
 
@@ -63,14 +83,17 @@ void ForEachRun(const FileMisses& m, Fn&& fn) {
 GuestKernel::GuestKernel(const GuestConfig& config, Hypervisor* hv, CpuAccountant* cpu)
     : config_(config), hv_(hv), cpu_(cpu), rng_(config.seed) {
   assert(hv_ != nullptr);
-  assert(config_.base_memory % kMemoryBlockBytes == 0 && "base memory must be block-aligned");
-  assert(config_.hotplug_region % kMemoryBlockBytes == 0 && "hotplug region must be block-aligned");
+  assert(config_.base_memory % kMemoryBlockBytes == 0 &&
+         "base memory must be block-aligned");
+  assert(config_.hotplug_region % kMemoryBlockBytes == 0 &&
+         "hotplug region must be block-aligned");
 
   vm_ = hv_->RegisterVm(config_.name, config_.vcpus);
   memmap_ = std::make_unique<MemMap>(config_.base_memory + config_.hotplug_region);
 
   Rng* shuffle = config_.shuffle_allocator ? &rng_ : nullptr;
-  zones_.push_back(std::make_unique<Zone>(0, ZoneType::kNormal, "Normal", memmap_.get(), shuffle));
+  zones_.push_back(
+      std::make_unique<Zone>(0, ZoneType::kNormal, "Normal", memmap_.get(), shuffle));
   normal_zone_ = zones_.back().get();
   zones_.push_back(
       std::make_unique<Zone>(1, ZoneType::kMovable, "Movable", memmap_.get(), shuffle));
@@ -78,7 +101,8 @@ GuestKernel::GuestKernel(const GuestConfig& config, Hypervisor* hv, CpuAccountan
   file_zone_ = movable_zone_;
 
   // Boot RAM comes online into ZONE_NORMAL without the hotplug pipeline.
-  const uint32_t base_blocks = static_cast<uint32_t>(config_.base_memory / kMemoryBlockBytes);
+  const uint32_t base_blocks =
+      static_cast<uint32_t>(config_.base_memory / kMemoryBlockBytes);
   for (BlockIndex b = 0; b < base_blocks; ++b) {
     memmap_->InitBlock(b);
     normal_zone_->AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
@@ -87,7 +111,8 @@ GuestKernel::GuestKernel(const GuestConfig& config, Hypervisor* hv, CpuAccountan
   hotplug_first_block_ = base_blocks;
   hotplug_nr_blocks_ = static_cast<uint32_t>(config_.hotplug_region / kMemoryBlockBytes);
 
-  hotplug_ = std::make_unique<HotplugManager>(memmap_.get(), &hv_->cost(), hv_, vm_, this);
+  hotplug_ =
+      std::make_unique<HotplugManager>(memmap_.get(), &hv_->cost(), hv_, vm_, this);
 
   VirtioMemConfig vcfg;
   vcfg.first_block = hotplug_first_block_;
@@ -164,8 +189,7 @@ void GuestKernel::Exit(Pid pid) {
   proc.set_state(ProcessState::kExited);
   FolioRef folio;
   while (proc.PopFolio(&folio)) {
-    Zone& zone = *zones_[static_cast<size_t>(std::as_const(*memmap_).page(folio.head).zone_id)];
-    zone.Free(folio.head);
+    ZoneOf(folio.head).Free(folio.head);
   }
   assert(live_processes_ > 0);
   --live_processes_;
@@ -234,14 +258,15 @@ void GuestKernel::MarkHostBackingPages(Pfn first, uint32_t pages, TimeNs now,
 
 void GuestKernel::BookHostBacking(HostBackingBatch* batch, TimeNs now) {
   if (batch->faults > 0) {
-    batch->booked += hv_->NestedFaultPopulate(vm_, batch->extents, PagesToBytes(batch->pages),
-                                              now, batch->faults);
+    batch->booked += hv_->NestedFaultPopulate(
+        vm_, batch->extents, PagesToBytes(batch->pages), now, batch->faults);
     batch->faults = 0;
     batch->pages = 0;
   }
 }
 
-void GuestKernel::FlushHostBacking(HostBackingBatch* batch, TimeNs now, TouchResult* result) {
+void GuestKernel::FlushHostBacking(HostBackingBatch* batch, TimeNs now,
+                                   TouchResult* result) {
   BookHostBacking(batch, now);
   result->nested += batch->booked;
   result->latency += batch->booked;
@@ -255,6 +280,10 @@ Zone* GuestKernel::AnonZoneFor(const Process& proc) {
 Zone* GuestKernel::FileFallbackZone(const Process& proc) {
   const bool confined = proc.anon_zone() != nullptr;
   return confined || file_zone_ == normal_zone_ ? nullptr : normal_zone_;
+}
+
+Zone& GuestKernel::ZoneOf(Pfn pfn) {
+  return *zones_[static_cast<size_t>(std::as_const(*memmap_).page(pfn).zone_id)];
 }
 
 TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
@@ -315,10 +344,11 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   TouchResult result;
   Process& proc = process(pid);
   assert(proc.state() == ProcessState::kRunning);
-  const uint64_t pages = std::min<uint64_t>(BytesToPages(bytes), page_cache_.FilePages(file_id));
+  const uint64_t pages =
+      std::min<uint64_t>(BytesToPages(bytes), page_cache_.FilePages(file_id));
 
-  // Fast path: fully cached prefix -> pure remap cost, no per-page walk.
-  if (page_cache_.cached_pages(file_id) == page_cache_.FilePages(file_id)) {
+  // Fast path: fully cached prefix -> pure remap cost, no walk at all.
+  if (page_cache_.PrefixCached(file_id, pages)) {
     result.latency += cost().fault_page * static_cast<int64_t>(pages);
     result.bytes = PagesToBytes(pages);
     return result;
@@ -334,11 +364,9 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   const FileMisses misses =
       FaultFileMisses(page_cache_, file_id, pages, file_zone_, FileFallbackZone(proc));
   const uint64_t got = misses.allocated;
-  const bool oom = got < misses.idx.size();
   // Hits remap; every page from the first miss left without a frame on is
   // never reached (the OOM kill ends the fault there).
-  const uint64_t reached = oom ? misses.idx[got] : pages;
-  result.latency += cost().fault_page * static_cast<DurationNs>(reached - got) +
+  result.latency += cost().fault_page * static_cast<DurationNs>(misses.reached - got) +
                     (cost().fault_folio_fixed + cost().fault_page + miss_read) *
                         static_cast<DurationNs>(got);
   if (backing_x1000 < 0) {
@@ -352,7 +380,7 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   });
   // The faults taken are booked first: the OOM kill may unplug memory at `now`.
   FlushHostBacking(&backing, now, &result);
-  if (oom) {
+  if (misses.oom) {
     OomKill(pid);
     result.oom = true;
     return result;
@@ -452,17 +480,15 @@ TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool popula
 }
 
 uint64_t GuestKernel::DropFileCache(int32_t file_id, TimeNs now) {
+  // Page by page in index order, so the frees coalesce as they always did.
   uint64_t dropped_pages = 0;
   uint64_t unpop_pages = 0;
-  const uint64_t pages = page_cache_.FilePages(file_id);
-  for (uint64_t idx = 0; idx < pages; ++idx) {
-    if (!page_cache_.Cached(file_id, idx)) {
-      continue;
+  for (const PageCache::Extent& e : page_cache_.RemoveAll(file_id)) {
+    for (Pfn pfn = e.pfn; pfn < e.pfn + e.count; ++pfn) {
+      unpop_pages += memmap_->Unpopulate(pfn) ? 1 : 0;
+      ZoneOf(pfn).Free(pfn);
     }
-    const Pfn pfn = page_cache_.Remove(file_id, idx);
-    unpop_pages += memmap_->Unpopulate(pfn) ? 1 : 0;
-    zones_[static_cast<size_t>(std::as_const(*memmap_).page(pfn).zone_id)]->Free(pfn);
-    ++dropped_pages;
+    dropped_pages += e.count;
   }
   if (unpop_pages > 0) {
     hv_->MadviseRelease(vm_, PagesToBytes(unpop_pages), now);
@@ -475,8 +501,7 @@ uint64_t GuestKernel::FreeAnon(Pid pid, uint64_t bytes) {
   uint64_t freed = 0;
   FolioRef folio;
   while (freed < bytes && proc.PopFolio(&folio)) {
-    Zone& zone = *zones_[static_cast<size_t>(std::as_const(*memmap_).page(folio.head).zone_id)];
-    zone.Free(folio.head);
+    ZoneOf(folio.head).Free(folio.head);
     freed += PagesToBytes(folio.pages());
   }
   return freed;
@@ -535,7 +560,8 @@ uint64_t GuestKernel::online_bytes() const {
 
 // --- OwnerRegistry ------------------------------------------------------------------
 
-void GuestKernel::RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) {
+void GuestKernel::RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot,
+                                Pfn new_head) {
   if (kind == PageKind::kAnon) {
     process(owner).Relocate(owner_slot, new_head);
   } else if (kind == PageKind::kFile) {
@@ -584,15 +610,17 @@ std::vector<BlockIndex> GuestKernel::SelectUnplugBlocks(uint64_t max_blocks) {
   // the emptiest-first variant (fewest pages to migrate) is a smarter
   // hypothetical baseline evaluated in the block-selection ablation.
   std::vector<BlockIndex> candidates;
-  for (BlockIndex b = hotplug_first_block_; b < hotplug_first_block_ + hotplug_nr_blocks_; ++b) {
+  for (BlockIndex b = hotplug_first_block_; b < hotplug_first_block_ + hotplug_nr_blocks_;
+       ++b) {
     if (memmap_->block_state(b) == BlockState::kOnline) {
       candidates.push_back(b);
     }
   }
   if (config_.unplug_selection == UnplugSelection::kEmptiestFirst) {
-    std::stable_sort(candidates.begin(), candidates.end(), [this](BlockIndex a, BlockIndex b) {
-      return memmap_->BlockOccupied(a) < memmap_->BlockOccupied(b);
-    });
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [this](BlockIndex a, BlockIndex b) {
+                       return memmap_->BlockOccupied(a) < memmap_->BlockOccupied(b);
+                     });
   } else {
     std::reverse(candidates.begin(), candidates.end());
   }

@@ -186,7 +186,8 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   uint64_t online_bytes() const;
 
   // --- OwnerRegistry ------------------------------------------------------------------
-  void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) override;
+  void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot,
+                     Pfn new_head) override;
 
   // --- VirtioMemHooks (vanilla policy; delegates when overridden) ----------------------
   std::vector<BlockIndex> SelectPlugBlocks(uint64_t max_blocks) override;
@@ -231,6 +232,8 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   // Where `proc`'s file faults spill once the file zone is full: ZONE_NORMAL
   // for a vanilla process, nowhere for a partition-confined one.
   Zone* FileFallbackZone(const Process& proc);
+  // The zone an allocated frame belongs to.
+  Zone& ZoneOf(Pfn pfn);
   void OomKill(Pid pid);
 
   GuestConfig config_;

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <vector>
 
 namespace squeezy {
 
-BalloonDevice::BalloonDevice(MemMap* memmap, const CostModel* cost, Hypervisor* hv, VmId vm,
-                             CpuAccountant* cpu, std::string guest_thread,
+BalloonDevice::BalloonDevice(MemMap* memmap, const CostModel* cost, Hypervisor* hv,
+                             VmId vm, CpuAccountant* cpu, std::string guest_thread,
                              std::string host_thread)
     : memmap_(memmap),
       cost_(cost),
@@ -25,12 +26,19 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
   // The driver pins pages it inflates: they become unmovable kernel
   // allocations until deflation.  One run allocation picks exactly the
   // pages that many single-page allocations would, and stops where the
-  // zone runs dry (inflation stalls, complete=false).
+  // zone runs dry (inflation stalls, complete=false).  A held page's owner
+  // slot is its index in held_.
   const size_t first = held_.size();
-  held_.resize(first + std::min(want, zone->free_pages()));
-  out.pages = zone->AllocPages(held_.size() - first, PageKind::kKernel, kNoOwner,
-                               /*slots=*/nullptr, held_.data() + first);
-  held_.resize(first + out.pages);
+  std::vector<PfnRun> runs;
+  out.pages = zone->AllocPages(std::min(want, zone->free_pages()), PageKind::kKernel,
+                               kNoOwner, static_cast<uint32_t>(first), &runs);
+  held_.resize(first + out.pages);  // Grows geometrically across inflations.
+  Pfn* held = held_.data() + first;
+  for (const PfnRun& run : runs) {
+    for (uint32_t i = 0; i < run.count; ++i) {
+      *held++ = run.first + i;
+    }
+  }
   out.breakdown.rest = cost_->balloon_guest_page * static_cast<int64_t>(out.pages);
 
   // Pages are reported in batches.  With batch size 1 every page pays a VM
@@ -47,9 +55,9 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
     if (run_batches == 0) {
       return;
     }
-    out.breakdown.vm_exits +=
-        hv_->BalloonRelease(vm_, run_populated, now, run_batches) +
-        cost_->balloon_exit_page * static_cast<int64_t>((run_size - run_populated) * run_batches);
+    const uint64_t unbacked = (run_size - run_populated) * run_batches;
+    out.breakdown.vm_exits += hv_->BalloonRelease(vm_, run_populated, now, run_batches) +
+                              cost_->balloon_exit_page * static_cast<int64_t>(unbacked);
     run_batches = 0;
   };
   for (uint64_t i = 0; i < out.pages; i += batch_pages) {

@@ -29,7 +29,7 @@ Page* MemMap::FramesToOverwrite(Pfn pfn) {
   if (frames == nullptr) {
     frames = Frames(std::allocator<Page>().allocate(kGranulePages));
     ++materialized_;
-    materialized_peak_ = materialized_ > materialized_peak_ ? materialized_ : materialized_peak_;
+    materialized_peak_ = std::max(materialized_peak_, materialized_);
   }
   return frames.get();
 }
@@ -75,16 +75,6 @@ void MemMap::DropFrames(uint32_t granule) {
     frames_[granule].reset();
     --materialized_;
   }
-}
-
-bool MemMap::BlockMaterialized(BlockIndex b) const {
-  const Pfn start = BlockStart(b);
-  for (Pfn pfn = start; pfn < start + kPagesPerBlock; pfn += kGranulePages) {
-    if (Materialized(pfn)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void MemMap::InitBlock(BlockIndex b) {

@@ -105,8 +105,6 @@ class MemMap {
 
   // Whether pfn's granule currently has frames.
   bool Materialized(Pfn pfn) const { return frames_[pfn / kGranulePages] != nullptr; }
-  // Whether any granule of block b has frames (O(64); diagnostics).
-  bool BlockMaterialized(BlockIndex b) const;
   // The first frame after pfn whose state, kind, order and zone may differ
   // from pfn's: pfn + 1 in a granule with frames, the granule's end in a
   // uniform one (whose frames differ only in `head` and owner words).
@@ -154,7 +152,8 @@ class MemMap {
   uint32_t BlockOccupied(BlockIndex b) const { return allocated_per_block_[b]; }
   void AdjustBlockAllocated(Pfn head, int64_t delta_pages) {
     const BlockIndex b = BlockOf(head);
-    allocated_per_block_[b] = static_cast<uint32_t>(allocated_per_block_[b] + delta_pages);
+    allocated_per_block_[b] =
+        static_cast<uint32_t>(allocated_per_block_[b] + delta_pages);
   }
 
   // Free-list links of the max-order chunk headed by `head`.

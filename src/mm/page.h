@@ -98,6 +98,12 @@ inline void FillPages(Page* pages, uint32_t n, const Page& value) {
   }
 }
 
+// Frames [first, first + count).
+struct PfnRun {
+  Pfn first = kInvalidPfn;
+  uint32_t count = 0;
+};
+
 struct FolioRef {
   Pfn head = kInvalidPfn;
   uint8_t order = 0;

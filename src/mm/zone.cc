@@ -6,6 +6,21 @@
 #include <vector>
 
 namespace squeezy {
+namespace {
+
+// The largest order of a naturally aligned chunk at pfn that fits in
+// `remaining` pages.
+uint8_t LargestAlignedOrder(Pfn pfn, uint64_t remaining) {
+  uint8_t order = kMaxPageOrder;
+  while (order > 0 &&
+         (((pfn & ((1u << order) - 1)) != 0) || ((1u << order) > remaining))) {
+    --order;
+  }
+  return order;
+}
+
+}  // namespace
+
 const char* ZoneTypeName(ZoneType t) {
   switch (t) {
     case ZoneType::kNormal:
@@ -21,7 +36,11 @@ const char* ZoneTypeName(ZoneType t) {
 }
 
 Zone::Zone(int16_t id, ZoneType type, std::string name, MemMap* memmap, Rng* shuffle_rng)
-    : id_(id), type_(type), name_(std::move(name)), memmap_(memmap), shuffle_rng_(shuffle_rng) {
+    : id_(id),
+      type_(type),
+      name_(std::move(name)),
+      memmap_(memmap),
+      shuffle_rng_(shuffle_rng) {
   assert(memmap_ != nullptr);
 }
 
@@ -33,6 +52,10 @@ Page& Zone::HeadFrame(uint8_t order, Pfn pfn) {
   // A chunk of order >= kThpOrder heads a granule: write its record (or
   // frame 0) without materializing the granule.
   return order >= kThpOrder ? memmap_->GranuleHead(pfn) : memmap_->page(pfn);
+}
+
+bool Zone::IsFreeHead(const Page& p, uint8_t order) const {
+  return p.state == PageState::kFree && p.head && p.order == order && p.zone_id == id_;
 }
 
 Page Zone::IsolatedFrame() const {
@@ -139,7 +162,7 @@ void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
       break;
     }
     const Page bp = map().page(buddy);
-    if (bp.state != PageState::kFree || !bp.head || bp.order != order || bp.zone_id != id_) {
+    if (!IsFreeHead(bp, order)) {
       break;
     }
     ListRemove(order, buddy);  // The stamp below rewrites its frames.
@@ -192,10 +215,7 @@ void Zone::AddFreeRange(Pfn start, uint64_t npages) {
   Pfn pfn = start;
   uint64_t remaining = npages;
   while (remaining > 0) {
-    uint8_t order = kMaxPageOrder;
-    while (order > 0 && (((pfn & ((1u << order) - 1)) != 0) || ((1u << order) > remaining))) {
-      --order;
-    }
+    const uint8_t order = LargestAlignedOrder(pfn, remaining);
     chunks.push_back({pfn, order});
     pfn += 1u << order;
     remaining -= 1u << order;
@@ -250,8 +270,8 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
   return chunk;
 }
 
-uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32_t* slots,
-                          Pfn* out) {
+uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, uint32_t first_slot,
+                          std::vector<PfnRun>* runs) {
   // n Alloc(0) calls pop the smallest non-empty order's front chunk and
   // then, splitting it, hand out its frames in ascending order while every
   // lower order holds exactly one of its pieces.  So take a popped chunk
@@ -281,16 +301,17 @@ uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32
     // A granule at a time (a chunk below THP order lies in one granule, a
     // larger one starts at a granule): a granule taken whole is written
     // once, a partly taken one materializes first.
+    uint32_t slot = first_slot + static_cast<uint32_t>(done);
     for (uint32_t g = 0; g < take; g += kGranulePages) {
       const uint32_t stop = std::min(take - g, kGranulePages);
       Page* pages = stop == kGranulePages ? memmap_->FramesToOverwrite(chunk + g)
                                           : &memmap_->page(chunk + g);
-      FillPages(pages, stop, frame);
       for (uint32_t i = 0; i < stop; ++i) {
-        pages[i].owner_slot = slots != nullptr ? slots[done + g + i] : 0;
-        out[done + g + i] = chunk + g + i;
+        frame.owner_slot = slot++;
+        FillPages(pages + i, 1, frame);
       }
     }
+    runs->push_back(PfnRun{chunk, take});
     const uint32_t tail = size - take;
     Pfn piece = chunk + take;
     for (uint8_t order = 0; order < from; ++order) {
@@ -371,10 +392,7 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
     uint64_t remaining = run_end - pfn;
     free_pages_ += remaining;
     while (remaining > 0) {
-      uint8_t order = kMaxPageOrder;
-      while (order > 0 && (((pfn & ((1u << order) - 1)) != 0) || ((1u << order) > remaining))) {
-        --order;
-      }
+      const uint8_t order = LargestAlignedOrder(pfn, remaining);
       FreeChunk(pfn, order);
       pfn += 1u << order;
       remaining -= 1u << order;
@@ -426,7 +444,7 @@ bool Zone::CheckFreeLists() const {
     Pfn prev = kInvalidPfn;
     for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = LinkAt(order, pfn).next) {
       const Page p = map().page(pfn);
-      if (p.state != PageState::kFree || !p.head || p.order != order || p.zone_id != id_) {
+      if (!IsFreeHead(p, order)) {
         return false;
       }
       if ((pfn & ((1u << order) - 1)) != 0) {

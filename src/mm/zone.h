@@ -26,7 +26,10 @@
 // Run allocation.  AllocPages hands out n order-0 pages in one call with
 // exactly the picks, frame states, free-list order and counters of n
 // Alloc(0) calls: it consumes whole chunks and splits at most one, instead
-// of splitting a chunk down order by order for every page.
+// of splitting a chunk down order by order for every page.  Page i's
+// owner slot is first_slot + i, written as its frame is filled, and each
+// chunk's taken frames come back as one (pfn, count) run, so a caller
+// that keeps runs (the page cache) never touches a per-page array.
 //
 // The offline path uses the isolation primitives: free pages in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
@@ -38,6 +41,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/mm/memmap.h"
 #include "src/mm/page.h"
@@ -61,7 +65,8 @@ class Zone {
   // emulate the steady-state scatter of a long-running kernel allocator
   // (Linux CONFIG_SHUFFLE_PAGE_ALLOCATOR + allocation churn).  Without it
   // the allocator hands out contiguous ascending ranges.
-  Zone(int16_t id, ZoneType type, std::string name, MemMap* memmap, Rng* shuffle_rng = nullptr);
+  Zone(int16_t id, ZoneType type, std::string name, MemMap* memmap,
+       Rng* shuffle_rng = nullptr);
 
   Zone(const Zone&) = delete;
   Zone& operator=(const Zone&) = delete;
@@ -92,13 +97,13 @@ class Zone {
   // zone cannot satisfy the request.
   Pfn Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot);
 
-  // Allocates n order-0 pages, page i owned by (owner, slots[i]) — slot 0
-  // for every page when `slots` is null — and writes their pfns to
-  // out[0..n).  Returns how many it allocated, fewer
-  // than n only when the zone ran out.  Equivalent, frame for frame and
-  // list for list, to n Alloc(0, kind, owner, slots[i]) calls.
-  uint64_t AllocPages(uint64_t n, PageKind kind, int32_t owner, const uint32_t* slots,
-                      Pfn* out);
+  // Allocates n order-0 pages, page i owned by (owner, first_slot + i),
+  // and appends them to `runs` in allocation order, one run per free chunk
+  // they came from.  Returns how many it allocated, fewer than n only when
+  // the zone ran out.  Equivalent, frame for frame and list for list, to
+  // n Alloc(0, kind, owner, first_slot + i) calls.
+  uint64_t AllocPages(uint64_t n, PageKind kind, int32_t owner, uint32_t first_slot,
+                      std::vector<PfnRun>* runs);
 
   // Frees an allocated folio (by head pfn), coalescing with buddies.
   void Free(Pfn head);
@@ -158,6 +163,8 @@ class Zone {
   void StampFreeChunk(Pfn pfn, uint8_t order);
   // An isolated frame of this zone.
   Page IsolatedFrame() const;
+  // Whether p heads a free chunk of `order` in this zone.
+  bool IsFreeHead(const Page& p, uint8_t order) const;
 
   int16_t id_;
   ZoneType type_;

@@ -11,6 +11,7 @@
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
 #include "src/sim/cost_model.h"
+#include "tests/memmap_test_util.h"
 
 namespace squeezy {
 namespace {
@@ -150,7 +151,8 @@ TEST_F(GuestTest, FileRereadCostsScaleWithSize) {
   const Pid pid = guest_->CreateProcess();
   const DurationNs small_cost = guest_->TouchFile(pid, small, MiB(8), 0).latency;
   const DurationNs large_cost = guest_->TouchFile(pid, large, MiB(64), 0).latency;
-  EXPECT_NEAR(static_cast<double>(large_cost) / static_cast<double>(small_cost), 8.0, 0.5);
+  EXPECT_NEAR(static_cast<double>(large_cost) / static_cast<double>(small_cost), 8.0,
+              0.5);
 }
 
 TEST_F(GuestTest, ForkSharesPartitionAndFiles) {
@@ -328,6 +330,30 @@ void FragmentMovable(GuestKernel& guest) {
   guest.Exit(a);
 }
 
+TEST_F(GuestTest, PrefixRetouchOfPartlyCachedFileOnlyRemaps) {
+  guest_->PlugMemory(MiB(256), 0);
+  const int32_t file = guest_->CreateFile("rootfs", MiB(64));
+  const Pid agent = guest_->CreateProcess();
+  ASSERT_FALSE(guest_->TouchFile(agent, file, MiB(16), 0).oom);
+  ASSERT_EQ(guest_->page_cache().extents(file).size(), 1u);  // One contiguous run.
+  const uint64_t allocated = guest_->allocated_bytes();
+  const uint64_t read = guest_->page_cache().disk_read_bytes(file);
+  const std::array<uint64_t, 3> host = HostBooks(*hv_, guest_->vm_id());
+
+  // The rest of the file is uncached; a re-touch of the cached prefix
+  // books one remap per page and nothing else.
+  const Pid exec = guest_->CreateProcess();
+  const TouchResult r = guest_->TouchFile(exec, file, MiB(12), Msec(1));
+  EXPECT_FALSE(r.oom);
+  EXPECT_EQ(r.bytes, MiB(12));
+  EXPECT_EQ(r.latency, cost_.fault_page * static_cast<DurationNs>(MiB(12) / kPageSize));
+  EXPECT_EQ(r.nested, 0);
+  EXPECT_EQ(guest_->allocated_bytes(), allocated);
+  EXPECT_EQ(guest_->page_cache().disk_read_bytes(file), read);
+  EXPECT_EQ(guest_->page_cache().cached_pages(file), MiB(16) / kPageSize);
+  EXPECT_EQ(HostBooks(*hv_, guest_->vm_id()), host);
+}
+
 TEST_F(GuestTest, TouchFileOomMidFileMatchesPerPageFaults) {
   cost_.host_thp_bytes = MiB(2);
   ASSERT_TRUE(guest_->PlugMemory(kMemoryBlockBytes, 0).complete);
@@ -421,7 +447,7 @@ TEST_F(GuestTest, BlockZoneReadsSummarizedBlockWithoutMaterializing) {
   ASSERT_TRUE(guest_->PlugMemory(MiB(256), 0).complete);
   const BlockIndex b = guest_->hotplug_first_block();
   const uint32_t before = guest_->memmap().materialized_granules();
-  EXPECT_FALSE(guest_->memmap().BlockMaterialized(b));
+  EXPECT_FALSE(BlockMaterialized(guest_->memmap(), b));
   EXPECT_EQ(guest_->BlockZone(b), &guest_->movable_zone());
   EXPECT_EQ(guest_->memmap().materialized_granules(), before);
 }
@@ -451,7 +477,7 @@ TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
   ASSERT_EQ(guest.memmap().block_state(hole), BlockState::kAbsent);
   const BlockIndex plugged = guest.hotplug_first_block();
   ASSERT_NE(guest.memmap().block_state(plugged), BlockState::kAbsent);
-  ASSERT_FALSE(guest.memmap().BlockMaterialized(plugged));
+  ASSERT_FALSE(BlockMaterialized(guest.memmap(), plugged));
   guest.WarmAllHostBacking(Sec(1));
   twin.WarmAllHostBacking(Sec(1));
   EXPECT_EQ(hv.stats(guest.vm_id()).populated_bytes,
@@ -459,10 +485,10 @@ TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
   EXPECT_EQ(host.populated(), twin_host.populated());
   EXPECT_EQ(host.populated(), MiB(512) + MiB(384));
   // Holes stay summarized: there is nothing behind them to warm.
-  EXPECT_FALSE(guest.memmap().BlockMaterialized(hole));
+  EXPECT_FALSE(BlockMaterialized(guest.memmap(), hole));
   EXPECT_FALSE(guest.memmap().host_populated(MemMap::BlockStart(hole)));
   // A present, untouched block is warmed in its bitmap and stays a summary.
-  EXPECT_FALSE(guest.memmap().BlockMaterialized(plugged));
+  EXPECT_FALSE(BlockMaterialized(guest.memmap(), plugged));
   EXPECT_EQ(guest.memmap().CountBlockPages(plugged, PageState::kFree), kPagesPerBlock);
   const Pfn last = MemMap::BlockStart(plugged) + kPagesPerBlock - 1;
   EXPECT_TRUE(guest.memmap().host_populated(last));

@@ -5,6 +5,7 @@
 #include "src/mm/zone.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/rng.h"
+#include "tests/memmap_test_util.h"
 
 namespace squeezy {
 namespace {
@@ -56,9 +57,9 @@ TEST(MemMapTest, BlockIndexMath) {
 TEST(MemMapTest, CountBlockPagesByState) {
   MemMap m(GiB(1));
   m.InitBlock(0);
-  EXPECT_EQ(m.CountBlockPages(0, PageState::kOffline), static_cast<uint64_t>(kPagesPerBlock));
+  EXPECT_EQ(m.CountBlockPages(0, PageState::kOffline), uint64_t{kPagesPerBlock});
   EXPECT_EQ(m.CountBlockPages(0, PageState::kFree), 0u);
-  EXPECT_EQ(m.CountBlockPages(1, PageState::kHole), static_cast<uint64_t>(kPagesPerBlock));
+  EXPECT_EQ(m.CountBlockPages(1, PageState::kHole), uint64_t{kPagesPerBlock});
 }
 
 TEST(MemMapTest, CountBlocksByState) {
@@ -105,7 +106,7 @@ TEST(MemMapTest, ConstReadsNeverMaterialize) {
   EXPECT_EQ(m.materialized_granules(), 0u);
   EXPECT_EQ(m.materialized_bytes(), 0u);
   for (BlockIndex b = 0; b < m.block_count(); ++b) {
-    EXPECT_FALSE(m.BlockMaterialized(b));
+    EXPECT_FALSE(BlockMaterialized(m, b));
   }
 }
 
@@ -115,8 +116,8 @@ TEST(MemMapTest, MutableTouchMaterializesOneChunk) {
   // First mutable touch sees the flat array's initial state.
   EXPECT_EQ(p.state, PageState::kHole);
   EXPECT_EQ(m.materialized_granules(), 1u);
-  EXPECT_TRUE(m.BlockMaterialized(3));
-  EXPECT_FALSE(m.BlockMaterialized(2));
+  EXPECT_TRUE(BlockMaterialized(m, 3));
+  EXPECT_FALSE(BlockMaterialized(m, 2));
   EXPECT_EQ(m.materialized_bytes(), MemMap::GranuleBytes());
   EXPECT_EQ(m.materialized_peak_granules(), 1u);
 }
@@ -131,7 +132,7 @@ TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
   EXPECT_EQ(m.materialized_granules(), 1u);
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
-  EXPECT_FALSE(m.BlockMaterialized(0));
+  EXPECT_FALSE(BlockMaterialized(m, 0));
   EXPECT_EQ(m.materialized_granules(), 0u);
   EXPECT_EQ(m.materialized_peak_granules(), 1u);  // Peak is sticky.
   // The freed block reads as holes again and can be re-initialized.
@@ -151,7 +152,7 @@ TEST(MemMapTest, TeardownFreesChunkWhileHostBackingSurvives) {
   EXPECT_EQ(m.PopulateRange(17, 3), 3u);
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
-  EXPECT_FALSE(m.BlockMaterialized(0));
+  EXPECT_FALSE(BlockMaterialized(m, 0));
   EXPECT_EQ(m.materialized_granules(), 0u);
   EXPECT_TRUE(m.host_populated(17));
   EXPECT_TRUE(m.host_populated(19));
@@ -168,7 +169,7 @@ TEST(MemMapTest, InitBlockDropsSurvivingHostBacking) {
   m.set_block_state(0, BlockState::kOffline);
   m.TeardownBlock(0);
   m.InitBlock(0);
-  EXPECT_FALSE(m.BlockMaterialized(0));
+  EXPECT_FALSE(BlockMaterialized(m, 0));
   const MemMap& cm = m;
   EXPECT_EQ(cm.page(17).state, PageState::kOffline);
   EXPECT_FALSE(cm.host_populated(17));
@@ -185,25 +186,25 @@ TEST(MemMapTest, UntouchedBlockCycleMaterializesNothing) {
     const Pfn start = MemMap::BlockStart(2);
     m.InitBlock(2);
     EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), kPagesPerBlock);
-    EXPECT_FALSE(m.BlockMaterialized(2));
+    EXPECT_FALSE(BlockMaterialized(m, 2));
     zone.AddFreeRange(start, kPagesPerBlock);
     EXPECT_EQ(m.CountBlockPages(2, PageState::kFree), kPagesPerBlock);
-    EXPECT_FALSE(m.BlockMaterialized(2));
+    EXPECT_FALSE(BlockMaterialized(m, 2));
     EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 32u);
     EXPECT_TRUE(zone.CheckFreeLists());
-    EXPECT_EQ(zone.IsolateFreeRange(start, kPagesPerBlock), static_cast<uint64_t>(kPagesPerBlock));
+    EXPECT_EQ(zone.IsolateFreeRange(start, kPagesPerBlock), uint64_t{kPagesPerBlock});
     EXPECT_EQ(m.CountBlockPages(2, PageState::kIsolated), kPagesPerBlock);
-    EXPECT_FALSE(m.BlockMaterialized(2));
+    EXPECT_FALSE(BlockMaterialized(m, 2));
     EXPECT_EQ(zone.free_pages(), 0u);
     zone.RetireRange(start, kPagesPerBlock);
     EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), kPagesPerBlock);
-    EXPECT_FALSE(m.BlockMaterialized(2));
+    EXPECT_FALSE(BlockMaterialized(m, 2));
     EXPECT_EQ(zone.managed_pages(), 0u);
     EXPECT_EQ(m.ClearHostPopulated(2), 0u);
     m.set_block_state(2, BlockState::kOffline);
     m.TeardownBlock(2);
     EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), kPagesPerBlock);
-    EXPECT_FALSE(m.BlockMaterialized(2));
+    EXPECT_FALSE(BlockMaterialized(m, 2));
     EXPECT_EQ(m.materialized_peak_granules(), 0u);
   }
 }
@@ -235,7 +236,7 @@ TEST(MemMapTest, ConstReadsSynthesizeSummaryFrames) {
 
 TEST(MemMapTest, CountBlockPagesOnAbsentChunk) {
   MemMap m(GiB(1));
-  EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), static_cast<uint64_t>(kPagesPerBlock));
+  EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), uint64_t{kPagesPerBlock});
   EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), 0u);
   EXPECT_EQ(m.materialized_granules(), 0u);  // Counting must not materialize.
 }

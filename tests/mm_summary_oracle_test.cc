@@ -24,6 +24,7 @@
 #include "src/sim/cost_model.h"
 #include "src/sim/rng.h"
 #include "tests/flat_mm_oracle.h"
+#include "tests/memmap_test_util.h"
 
 namespace squeezy {
 namespace {
@@ -48,16 +49,18 @@ bool SameLink(const FreeLink& a, const FreeLink& b) {
 // the links are compared (and the oracle's owner words must be empty);
 // every other frame compares its owner words (and the oracle's link must
 // be empty unless the max-order side table holds it).
-void ExpectSameBlock(const MemMap& m, const oracle::FlatMemMap& o, BlockIndex b, int step) {
+void ExpectSameBlock(const MemMap& m, const oracle::FlatMemMap& o, BlockIndex b,
+                     int step) {
   const Pfn start = MemMap::BlockStart(b);
   for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
     const Page got = m.page(pfn);
     const oracle::FlatPage& want = o.page(pfn);
     const bool listed = want.state == PageState::kFree && want.head;
     const bool max_head = listed && want.order == kMaxPageOrder;
-    ASSERT_TRUE(got.state == want.state && got.kind == want.kind && got.order == want.order &&
-                got.head == want.head && m.host_populated(pfn) == want.host_populated &&
-                got.zone_id == want.zone_id)
+    ASSERT_TRUE(got.state == want.state && got.kind == want.kind &&
+                got.order == want.order && got.head == want.head &&
+                got.zone_id == want.zone_id &&
+                m.host_populated(pfn) == want.host_populated)
         << "frame " << pfn << " differs at step " << step;
     if (listed && !max_head) {
       ASSERT_TRUE(SameLink(got.link(), want.link))
@@ -150,7 +153,8 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         }
         const size_t bi = static_cast<size_t>(b);
         const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
-        const bool pair = bi + 1 < kBlocks && model[bi + 1] == Model::kPresent && rng.Chance(0.3);
+        const bool pair =
+            bi + 1 < kBlocks && model[bi + 1] == Model::kPresent && rng.Chance(0.3);
         const uint64_t npages = (pair ? 2u : 1u) * kPagesPerBlock;
         zones[z]->AddFreeRange(MemMap::BlockStart(static_cast<BlockIndex>(b)), npages);
         ozones[z]->AddFreeRange(MemMap::BlockStart(static_cast<BlockIndex>(b)), npages);
@@ -241,7 +245,7 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
           m.set_block_state(bi, BlockState::kOffline);
           m.TeardownBlock(bi);
           ASSERT_EQ(cleared, o.ClearAndTeardownBlock(bi));
-          EXPECT_FALSE(m.BlockMaterialized(bi));
+          EXPECT_FALSE(BlockMaterialized(m, bi));
           model[static_cast<size_t>(b)] = Model::kAbsent;
         }
         break;
@@ -282,9 +286,16 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         for (uint64_t i = 0; i < n; ++i) {
           slots[i] = static_cast<uint32_t>(step) * 1000003u + static_cast<uint32_t>(i);
         }
-        std::vector<Pfn> got(n, kInvalidPfn);
+        std::vector<PfnRun> runs;
         const uint64_t allocated =
-            zones[z]->AllocPages(n, PageKind::kFile, 9, slots.data(), got.data());
+            zones[z]->AllocPages(n, PageKind::kFile, 9, slots[0], &runs);
+        std::vector<Pfn> got(n, kInvalidPfn);
+        size_t next = 0;
+        for (const PfnRun& run : runs) {
+          for (uint32_t i = 0; i < run.count; ++i) {
+            got[next++] = run.first + i;
+          }
+        }
         uint64_t want_allocated = 0;
         for (uint64_t i = 0; i < n; ++i) {
           const Pfn want = ozones[z]->Alloc(0, PageKind::kFile, 9, slots[i]);
@@ -349,11 +360,13 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         m.page(start);  // Materialize it if nothing had.
         ASSERT_EQ(zones[z]->IsolateFreeRange(start, kPagesPerBlock),
                   ozones[z]->IsolateFreeRange(start, kPagesPerBlock));
-        ASSERT_EQ(m.CountBlockPages(bi, PageState::kIsolated), kPagesPerBlock) << "step " << step;
-        ASSERT_FALSE(m.BlockMaterialized(bi)) << "step " << step;
+        ASSERT_EQ(m.CountBlockPages(bi, PageState::kIsolated), kPagesPerBlock)
+            << "step " << step;
+        ASSERT_FALSE(BlockMaterialized(m, bi)) << "step " << step;
         zones[z]->RetireRange(start, kPagesPerBlock);
         ozones[z]->RetireRange(start, kPagesPerBlock);
-        ASSERT_EQ(m.CountBlockPages(bi, PageState::kOffline), kPagesPerBlock) << "step " << step;
+        ASSERT_EQ(m.CountBlockPages(bi, PageState::kOffline), kPagesPerBlock)
+            << "step " << step;
         const uint64_t cleared = m.ClearHostPopulated(bi);
         m.set_block_state(bi, BlockState::kOffline);
         m.TeardownBlock(bi);
@@ -365,7 +378,8 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
         const uint32_t slot = static_cast<uint32_t>(step);
         const Pfn thp = zones[z]->Alloc(kThpOrder, PageKind::kAnon, 5, slot);
-        ASSERT_EQ(thp, ozones[z]->Alloc(kThpOrder, PageKind::kAnon, 5, slot)) << "step " << step;
+        ASSERT_EQ(thp, ozones[z]->Alloc(kThpOrder, PageKind::kAnon, 5, slot))
+            << "step " << step;
         if (thp == kInvalidPfn) {
           break;
         }
@@ -377,7 +391,8 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
           ozones[z]->ShuffleFreeLists(b);
         }
         const Pfn small = zones[z]->Alloc(0, PageKind::kAnon, 5, slot + 1);
-        ASSERT_EQ(small, ozones[z]->Alloc(0, PageKind::kAnon, 5, slot + 1)) << "step " << step;
+        ASSERT_EQ(small, ozones[z]->Alloc(0, PageKind::kAnon, 5, slot + 1))
+            << "step " << step;
         if (small != kInvalidPfn) {
           live.push_back({small, 0, z});
         }
@@ -422,7 +437,8 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         const size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
         const uint32_t slot = static_cast<uint32_t>(step);
         const Pfn thp = zones[z]->Alloc(kThpOrder, PageKind::kAnon, 8, slot);
-        ASSERT_EQ(thp, ozones[z]->Alloc(kThpOrder, PageKind::kAnon, 8, slot)) << "step " << step;
+        ASSERT_EQ(thp, ozones[z]->Alloc(kThpOrder, PageKind::kAnon, 8, slot))
+            << "step " << step;
         if (thp == kInvalidPfn) {
           break;
         }
@@ -447,7 +463,8 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
           return pfn;
         };
         Pfn lo = thp + static_cast<Pfn>(rng.UniformInt(1, kGranulePages - 1));
-        Pfn hi = boundary(start + static_cast<Pfn>(rng.UniformInt(1, kPagesPerBlock - 1)));
+        Pfn hi =
+            boundary(start + static_cast<Pfn>(rng.UniformInt(1, kPagesPerBlock - 1)));
         if (lo > hi) {
           std::swap(lo, hi);
         }
@@ -491,7 +508,8 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SummaryOracleFuzzTest, testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
+INSTANTIATE_TEST_SUITE_P(Seeds, SummaryOracleFuzzTest,
+                         testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
                          [](const testing::TestParamInfo<uint64_t>& param_info) {
                            return "seed" + std::to_string(param_info.param);
                          });

@@ -55,8 +55,8 @@ using fig12::kHosts;
 using fig12::kSeed;
 using fig12::TraceConfig;
 
-// The 256-host sharded row as the full snapshot-scan placement decided
-// it, recorded before the scan moved to tests/ as an oracle
+// The 256-host row as the full snapshot-scan placement decided it,
+// recorded before the scan moved to tests/ as an oracle
 // (tests/placement_scan_oracle.h).  The indexed placement must reproduce
 // it exactly; a deliberate behaviour change re-records these.
 constexpr uint64_t kScanAdmitted256h = 150483;
@@ -72,9 +72,7 @@ struct ComboResult {
   uint64_t routing_hash = 0;  // Order-sensitive digest of every routing decision.
   double setup_sec = 0;       // Cluster build + trace gen + SubmitTrace.
   double wall_sec = 0;        // Wall-clock spent inside RunUntil only.
-  std::vector<uint64_t> shard_events;  // Per-shard counts (kSharded runs).
-  // Placement-path instrumentation (deterministic: identical at any
-  // thread count, so all BENCH-safe).
+  // Placement-path instrumentation (deterministic, so all BENCH-safe).
   uint64_t decisions = 0;          // Routing decisions the scheduler took.
   uint64_t index_updates = 0;      // Host deltas the HostIndex absorbed.
   size_t index_max_replicas = 0;   // Widest per-function candidate tree.
@@ -94,25 +92,14 @@ struct ComboResult {
   double events_per_sec() const {
     return wall_sec > 0 ? static_cast<double>(events) / wall_sec : 0.0;
   }
-  // min/max balance across shards, in percent (100 = perfectly even).
-  double shard_balance_pct() const {
-    uint64_t lo = UINT64_MAX, hi = 0;
-    for (const uint64_t e : shard_events) {
-      lo = std::min(lo, e);
-      hi = std::max(hi, e);
-    }
-    return hi > 0 ? 100.0 * static_cast<double>(lo) / static_cast<double>(hi) : 0.0;
-  }
 };
 
 // Optional knobs beyond the sweep's (reclaim, placement, capacity, hosts)
-// axes: the event kernel and the sharded scale-out rows.
+// axes: the 256-1024-host scale-out rows.
 struct ComboOpts {
-  EventQueue::Impl impl = EventQueue::Impl::kTimerWheel;
-  size_t sim_threads = 0;  // kSharded pool width; 0 = SQUEEZY_SIM_THREADS env.
   const ClusterTraceConfig* trace = nullptr;  // nullptr = fig12::TraceConfig().
   TimeNs horizon = kHorizon;
-  // Shard-sweep sizing (see fig12_config.h): nullptr/0 = the paper
+  // Large-fleet row sizing (see fig12_config.h): nullptr/0 = the paper
   // functions at the sweep's concurrency and default VM base.
   const std::vector<FunctionSpec>* functions = nullptr;
   uint32_t concurrency = kConcurrency;
@@ -124,8 +111,6 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
                      uint64_t* hints_fired = nullptr, const ComboOpts& opts = {}) {
   WallTimer wall;
   ClusterConfig cfg = fig12::SweepConfig(reclaim, placement, host_capacity, hosts);
-  cfg.queue_impl = opts.impl;
-  cfg.sim_threads = opts.sim_threads;
   if (opts.vm_base > 0) {
     cfg.host.vm_base_memory = opts.vm_base;
   }
@@ -152,9 +137,6 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
   r.placement = placement;
   r.events = cluster.processed_events();
   r.routing_hash = cluster.routing_hash();
-  if (cluster.sharded() != nullptr) {
-    r.shard_events = cluster.sharded()->ShardProcessed();
-  }
   r.fleet = cluster.Summarize(opts.horizon);
   r.admitted = trace.size() - r.fleet.unplaced_invocations;
   r.decisions = cluster.scheduler().decisions();
@@ -396,9 +378,9 @@ int main() {
   CsvWriter csv("bench_results/fig12_cluster_scale.csv",
                 {"reclaim", "placement", "admitted", "completed", "p50_ms", "p99_ms",
                  "peak_gib", "gib_s", "pending_scaleups", "unplug_failures", "hints"});
-  // BENCH json holds deterministic metrics only (CI byte-diffs it across
-  // SQUEEZY_SIM_THREADS values); everything wall-clock-derived goes into
-  // the TIMING sibling the determinism diff never reads.
+  // BENCH json holds deterministic metrics only (CI runs fig12 twice and
+  // byte-diffs it); everything wall-clock-derived goes into the TIMING
+  // sibling the determinism diff never reads.
   BenchJson json("fig12_cluster_scale");
   BenchJson timing("fig12_cluster_scale", "TIMING");
   json.SetColumns({"reclaim", "placement", "admitted", "completed", "p50_ms", "p99_ms",
@@ -670,24 +652,18 @@ int main() {
   }
   scale.Print(std::cout);
 
-  // Sharded-kernel scale-out: per-host shards on a thread pool in
-  // deterministic lockstep epochs carry the fleet to 256/512/1024 hosts
-  // (load scaled with the fleet, arrivals quantized into fat parallel
-  // phases).  All deterministic outputs — admitted, events, per-shard
-  // counts, routing hash — are thread-count-invariant; the identity gate
-  // at kShardIdentityHosts replays the same run on the single-queue
-  // wheel and requires bit-identical results.
-  std::cout << "\nSharded kernel scale-out (Squeezy + HintedBinPack, paper-sized "
+  // Large-fleet scale-out: load scaled with the fleet, arrivals quantized
+  // (see fig12_config.h).  The BENCH keys keep their historical shard_*
+  // names so the json stays diffable across commits.
+  std::cout << "\nLarge-fleet scale-out (Squeezy + HintedBinPack, paper-sized "
                "functions, load scaled with hosts):\n";
   TablePrinter shard_scale({"Hosts", "Admitted", "PendingUps", "Events", "Decisions",
-                            "IdxDepth", "MemMapGiB", "Balance%", "Ev/s"});
-  bool sharded_identical = true;
+                            "IdxDepth", "MemMapGiB", "Ev/s"});
   bool placement_identical = true;
   const std::vector<FunctionSpec> shard_fns = fig12::ShardFunctions();
   for (const size_t hosts : fig12::kShardScaleHostCounts) {
     const ClusterTraceConfig shard_trace = fig12::ShardTraceConfig(hosts);
     ComboOpts shard_opts;
-    shard_opts.impl = EventQueue::Impl::kSharded;
     shard_opts.trace = &shard_trace;
     shard_opts.horizon = fig12::kShardHorizon;
     shard_opts.functions = &shard_fns;
@@ -706,13 +682,11 @@ int main() {
          TablePrinter::Int(static_cast<int64_t>(sh.index_depth())),
          TablePrinter::Num(static_cast<double>(sh.memmap_peak_bytes) /
                            static_cast<double>(GiB(1))),
-         TablePrinter::Num(sh.shard_balance_pct()),
          TablePrinter::Num(sh.events_per_sec(), 0)});
     const std::string tag = std::to_string(hosts) + "h";
     json.Metric("shard_admitted_" + tag, sh.admitted);
     json.Metric("shard_pending_" + tag, sh.fleet.pending_scaleups_total);
     json.Metric("shard_events_" + tag, sh.events);
-    json.Metric("shard_balance_pct_" + tag, sh.shard_balance_pct());
     // Placement-path instrumentation: how many routing decisions the row
     // took, how many host deltas the index absorbed maintaining its
     // trees, and the depth an indexed decision walks instead of scanning
@@ -734,68 +708,7 @@ int main() {
     timing.Metric("shard_run_sec_" + tag, sh.wall_sec);
     timing.Metric("process_peak_rss_mib_" + tag, PeakRssMib());
 
-    if (hosts == fig12::kShardIdentityHosts) {
-      // Per-shard event counts for the gate point (deterministic, so
-      // they belong in BENCH; one compact line, not 256 metrics).
-      std::string per_shard;
-      for (const uint64_t e : sh.shard_events) {
-        per_shard += (per_shard.empty() ? "" : ",") + std::to_string(e);
-      }
-      json.Text("shard_per_shard_events_" + tag, per_shard);
-
-      // Bit-identity gate: same config and seed on the single-queue
-      // wheel must reproduce the sharded run exactly.
-      ComboOpts ref_opts = shard_opts;
-      ref_opts.impl = EventQueue::Impl::kTimerWheel;
-      const ComboResult ref = RunCombo(ReclaimPolicy::kSqueezy,
-                                       PlacementPolicy::kHintedBinPack,
-                                       fig12::kShardHostCapacity, hosts,
-                                       nullptr, nullptr, ref_opts);
-      sharded_identical =
-          ref.admitted == sh.admitted && ref.events == sh.events &&
-          ref.routing_hash == sh.routing_hash &&
-          ref.fleet.pending_scaleups_total == sh.fleet.pending_scaleups_total &&
-          ref.fleet.completed_requests == sh.fleet.completed_requests &&
-          ref.fleet.committed_peak == sh.fleet.committed_peak;
-      std::cout << "Check: sharded kernel bit-identical to single-queue wheel at "
-                << hosts << " hosts -> " << (sharded_identical ? "PASS" : "FAIL")
-                << "\n";
-      timing.Metric("shard_ref_single_queue_run_sec_" + tag, ref.wall_sec);
-
-      // Thread scaling at the gate point: explicit 1-thread vs 4-thread
-      // pools over the identical run.  Results are bit-identical by
-      // construction; only the wall-clock may differ, so the >=2x check
-      // is reported but never gates the exit code.
-      ComboOpts t1 = shard_opts;
-      t1.sim_threads = 1;
-      ComboOpts t4 = shard_opts;
-      t4.sim_threads = 4;
-      const ComboResult r1 = RunCombo(ReclaimPolicy::kSqueezy,
-                                      PlacementPolicy::kHintedBinPack,
-                                      fig12::kShardHostCapacity, hosts,
-                                      nullptr, nullptr, t1);
-      const ComboResult r4 = RunCombo(ReclaimPolicy::kSqueezy,
-                                      PlacementPolicy::kHintedBinPack,
-                                      fig12::kShardHostCapacity, hosts,
-                                      nullptr, nullptr, t4);
-      const bool threads_identical =
-          r1.events == r4.events && r1.routing_hash == r4.routing_hash &&
-          r1.admitted == r4.admitted;
-      sharded_identical = sharded_identical && threads_identical;
-      const double shard_speedup =
-          r1.events_per_sec() > 0 ? r4.events_per_sec() / r1.events_per_sec() : 0.0;
-      std::cout << "Check: sharded results identical at 1 vs 4 threads -> "
-                << (threads_identical ? "PASS" : "FAIL") << "\n"
-                << "Check: 4-thread sharded >= 2x 1-thread events/sec at " << hosts
-                << " hosts -> "
-                << (shard_speedup >= 2.0 ? "PASS" : "FAIL (timing-sensitive)")
-                << " (" << Ratio(shard_speedup) << ", "
-                << TablePrinter::Num(r1.events_per_sec() / 1e6) << " -> "
-                << TablePrinter::Num(r4.events_per_sec() / 1e6) << " M events/s)\n";
-      timing.Metric("shard_events_per_sec_1t_" + tag, r1.events_per_sec());
-      timing.Metric("shard_events_per_sec_4t_" + tag, r4.events_per_sec());
-      timing.Metric("shard_thread_speedup_4t_" + tag, shard_speedup);
-
+    if (hosts == fig12::kScanGateHosts) {
       // Placement identity gate: the indexed placement must reproduce the
       // decision stream the full snapshot scan took at this row before
       // the scan moved to tests/ as an oracle (recorded constants above).
@@ -827,14 +740,13 @@ int main() {
   timing.Metric("events_per_sec", wheel_storm.best_events_per_sec);
   timing.Metric("queue_events_per_sec_wheel_64h", wheel_storm.best_events_per_sec);
   json.Metric("queue_storm_events_64h", wheel_storm.events);
-  json.Text("sharded_identical_results_check", sharded_identical ? "PASS" : "FAIL");
 
   const std::string json_path = json.Write();
   const std::string timing_path = timing.Write();
   std::cout << "CSV: bench_results/fig12_cluster_scale.csv\nJSON: " << json_path
             << "\nTiming: " << timing_path << "\n";
   return binpack_pass && hinted_pass && drain_pass && dep_pass && snap_pass &&
-                 snap_wire_pass && sharded_identical && placement_identical
+                 snap_wire_pass && placement_identical
              ? 0
              : 1;
 }

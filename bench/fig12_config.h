@@ -29,25 +29,20 @@ inline constexpr double kCapacityFraction = 0.62;
 // queue storm (events/sec with no-op handlers).
 inline constexpr size_t kScaleHostCounts[] = {4, 8, 16, 32, 64};
 inline constexpr size_t kQueueBenchHosts = 64;
-// Sharded-kernel scale-out: host counts beyond the single-queue sweep,
-// load scaled linearly with hosts the WHOLE way (rate = base * hosts /
-// kHosts).  The former cap at the identity point existed because
-// placement was an O(hosts) snapshot scan per dispatch — scaling load
-// and hosts together made the sweep O(hosts^2) wall-clock; the indexed
-// placement path (src/cluster/host_index.*) decides in O(log hosts), so
-// the rows now measure a genuinely growing fleet serving genuinely
-// growing traffic.  Arrivals are quantized so concurrent per-host work
-// lands between cross-shard barriers in fat parallel phases — still a
-// pure function of (config, seed), so any thread count fires the
-// identical sequence.
+// Large-fleet scale-out: host counts beyond the 4-64-host sweep, load
+// scaled linearly with hosts the WHOLE way (rate = base * hosts / kHosts);
+// the indexed placement path (src/cluster/host_index.*) decides in
+// O(log hosts), so the rows measure a growing fleet serving growing
+// traffic.  The kShard* names (and the rows' shard_* BENCH keys) date
+// from when these rows ran on a per-host sharded kernel; they run on the
+// one wheel now, with arrivals still quantized because the recorded
+// 256-host scan-gate constants were taken on the quantized trace.
 inline constexpr size_t kShardScaleHostCounts[] = {256, 512, 1024};
-inline constexpr size_t kShardIdentityHosts = 256;  // Sharded-vs-single + scan gates.
+inline constexpr size_t kScanGateHosts = 256;  // Recorded scan-placement gate.
 inline constexpr TimeNs kShardArrivalQuantum = Msec(1);
-// The sharded rows run the PAPER-sized functions: the extent MemMap
-// materializes per-page chunks only where blocks are touched, so sim RSS
-// goes as the fleet's actually-faulted footprint, not hosts x guest span
-// (the flat per-page array needed >200 GiB at 1024 hosts — the reason
-// this sweep used to shrink functions to 64 MiB).
+// These rows run the PAPER-sized functions: the granule-map MemMap
+// materializes frames only where sub-THP pages are used, so sim RSS goes
+// as the fleet's actually-faulted footprint, not hosts x guest span.
 inline constexpr TimeNs kShardDuration = Minutes(2);
 inline constexpr TimeNs kShardHorizon = Minutes(3);
 inline constexpr uint32_t kShardConcurrency = 2;
@@ -67,7 +62,7 @@ inline ClusterTraceConfig TraceConfig() {
   return t;
 }
 
-// Trace for the sharded-kernel scale-out rows: same shape as the base
+// Trace for the large-fleet scale-out rows: same shape as the base
 // sweep, shorter, rate scaled linearly with the fleet (no cap — see
 // kShardScaleHostCounts above), arrivals quantized.
 inline ClusterTraceConfig ShardTraceConfig(size_t hosts) {
@@ -78,8 +73,7 @@ inline ClusterTraceConfig ShardTraceConfig(size_t hosts) {
   return t;
 }
 
-// The sharded rows run the paper's four functions at full size (the
-// extent MemMap keeps per-host sim RSS bounded by touched blocks).
+// The large-fleet rows run the paper's four functions at full size.
 inline std::vector<FunctionSpec> ShardFunctions() { return PaperFunctions(); }
 
 // The sweep's cluster configuration (RunCombo).  The drain scenario

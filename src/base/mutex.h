@@ -1,12 +1,11 @@
 // Annotated mutex wrapper: std::mutex carrying clang thread-safety
 // capability attributes, plus the RAII MutexLock.
 //
-// Every class that the sharded-queue direction will make concurrently
-// accessed (EventQueue, Cluster, ClusterScheduler, MigrationPlanner,
-// DepCache, SnapshotStore) self-locks through these types, so clang's
-// `-Wthread-safety` proves the lock discipline at compile time while the
-// code is still single-threaded, and TSan has real acquire/release edges
-// to check the day threads arrive.
+// Every class with fleet-shared state (EventQueue, Cluster,
+// ClusterScheduler, MigrationPlanner, DepCache, SnapshotStore, HostIndex)
+// self-locks through these types, so clang's `-Wthread-safety` proves
+// the lock discipline at compile time and TSan has real acquire/release
+// edges to check.  The simulator itself runs on one thread.
 //
 // Lock ordering (acquired top to bottom; a lower lock never takes a
 // higher one):
@@ -15,20 +14,6 @@
 //                 →  EventQueue::mu_
 // EventQueue invokes event handlers with its lock RELEASED, so handler
 // code may re-enter any layer without inverting the order.
-//
-// Sharded kernel (src/sim/sharded_event_queue.*) refinements:
-//   * Shard-local: during a parallel epoch each worker touches ONLY its
-//     own shards' EventQueue::mu_ — two shard locks are never held at
-//     once, so shard queues need no order among themselves.
-//   * Cross-shard mail: events targeting another host are never pushed
-//     into the destination shard mid-epoch; they go to the mailbox
-//     queue (ShardedEventQueue::global()), which the coordinator drains
-//     alone at epoch barriers.  Mailbox EventQueue::mu_ therefore ranks
-//     with EventQueue::mu_ above and is only ever taken from sequential
-//     (single-thread) context — never while holding a shard's lock.
-//   * ShardedEventQueue::pool_mu_ (phase handoff) sits BELOW every
-//     EventQueue::mu_: it is taken only between phases, with no queue
-//     lock held, and no queue operation happens while holding it.
 //
 // Placement index (src/cluster/host_index.*) refinement:
 //   * HostIndex::mu_ is a LEAF: it ranks below every lock above (it may

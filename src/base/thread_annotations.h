@@ -1,13 +1,12 @@
 // Clang Thread Safety Analysis macros (the SQZ_ prefix keeps them out of
 // the way of any system headers that define the bare names).
 //
-// The simulator is single-threaded today, but the ROADMAP's sharded
-// event-queue direction puts the cross-host shared structures (DepCache,
-// SnapshotStore, the scheduler snapshot plane, the fleet metrics rollup)
-// one thread pool away from concurrent access.  These annotations let the
-// compiler machine-check the lock discipline NOW — `-Wthread-safety
-// -Werror` on every clang build — so the sharding PR inherits proven
-// invariants instead of discovering races at runtime.
+// The simulator runs on one thread, yet its cross-host shared structures
+// (DepCache, SnapshotStore, HostIndex, the event queue) self-lock.  These
+// annotations let the compiler machine-check that lock discipline —
+// `-Wthread-safety -Werror` on every clang build — so any future
+// concurrency starts from proven invariants instead of discovering races
+// at runtime.
 //
 // Under GCC (which has no thread-safety analysis) every macro expands to
 // nothing; the annotated code compiles identically.

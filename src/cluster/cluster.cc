@@ -2,45 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 namespace squeezy {
 
-namespace {
-
-// Pool width for kSharded: the config value, or — when 0 — the
-// SQUEEZY_SIM_THREADS environment knob (the CI matrix leg drives this),
-// defaulting to 1.  Clamped to at least the coordinator thread; the
-// ShardedEventQueue caps it at one thread per shard.
-size_t ResolveSimThreads(size_t configured) {
-  if (configured > 0) {
-    return configured;
-  }
-  const char* env = std::getenv("SQUEEZY_SIM_THREADS");
-  if (env == nullptr) {
-    return 1;
-  }
-  const long parsed = std::atol(env);
-  return parsed > 1 ? static_cast<size_t>(parsed) : 1;
-}
-
-}  // namespace
-
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   assert(config_.nr_hosts > 0);
-  if (config_.queue_impl == EventQueue::Impl::kSharded) {
-    // Hosts sharing a registry (dep cache / snapshot store) can touch
-    // cross-host state from shard-local handlers, so every event must be
-    // its own barrier — serial lockstep replays the exact single-queue
-    // order.  Registry-free fleets run the parallel epoch fast path.
-    const bool serial = config_.shared_dep_cache || config_.shared_snapshots;
-    sharded_ = std::make_unique<ShardedEventQueue>(
-        config_.nr_hosts, ResolveSimThreads(config_.sim_threads), serial);
-    events_ = &sharded_->global();
-  } else {
-    single_ = std::make_unique<EventQueue>();
-    events_ = single_.get();
-  }
   if (config_.shared_dep_cache) {
     dep_cache_ = std::make_unique<DepCache>(config_.nr_hosts);
   }
@@ -54,7 +20,7 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   for (size_t h = 0; h < config_.nr_hosts; ++h) {
     RuntimeConfig host_cfg = config_.host;
     host_cfg.seed = TraceStreamSeed(config_.host.seed, static_cast<int32_t>(h));
-    hosts_.push_back(std::make_unique<FaasRuntime>(host_cfg, &host_queue(h)));
+    hosts_.push_back(std::make_unique<FaasRuntime>(host_cfg, &events_));
     if (dep_cache_ != nullptr) {
       hosts_.back()->AttachDepRegistry(dep_cache_.get(), h);
     }
@@ -223,7 +189,7 @@ size_t Cluster::MigrateOff(size_t src) {
       ReplicaMigrationState subset = sized(planned);
       StateTransferCost cost =
           MigrationTransferCost(config_.host.cost, subset, dep_hit, snap_hit);
-      const TimeNs done_at = events_->now() + cost.total();
+      const TimeNs done_at = events_.now() + cost.total();
       adopted = hosts_[dst.host]->AdoptReplica(dst.local_fn, subset, done_at);
       if (adopted == 0) {
         continue;
@@ -251,7 +217,7 @@ size_t Cluster::MigrateOff(size_t src) {
         // cold start can hit bytes still on the wire.
         const size_t dst_host = dst.host;
         const int dst_fn = dst.local_fn;
-        events_->ScheduleAt(done_at, [this, dst_host, dst_fn] {
+        events_.ScheduleAt(done_at, [this, dst_host, dst_fn] {
           hosts_[dst_host]->MaterializeImage(dst_fn);
         });
       }
@@ -268,11 +234,11 @@ size_t Cluster::MigrateOff(size_t src) {
       rec.adopted = adopted;
       rec.bytes_sent = cost.bytes_sent;
       rec.downtime = cost.downtime;
-      rec.started_at = events_->now();
+      rec.started_at = events_.now();
       rec.done_at = done_at;
       migrations_.push_back(rec);
       ++in_flight_migrations_;
-      events_->ScheduleAt(done_at, [this] {
+      events_.ScheduleAt(done_at, [this] {
         MutexLock handler_lock(&mu_);
         --in_flight_migrations_;
       });
@@ -290,7 +256,7 @@ void Cluster::SubmitTrace(const std::vector<Invocation>& trace) {
   for (const Invocation& inv : trace) {
     const int cluster_fn = inv.function;
     assert(cluster_fn >= 0 && static_cast<size_t>(cluster_fn) < functions_.size());
-    events_->ScheduleAt(inv.at, [this, cluster_fn] { Dispatch(cluster_fn); });
+    events_.ScheduleAt(inv.at, [this, cluster_fn] { Dispatch(cluster_fn); });
   }
 }
 

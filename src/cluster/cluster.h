@@ -2,10 +2,13 @@
 //
 // Owns K FaasRuntime hosts driven by ONE shared EventQueue — a single
 // virtual clock totally orders the whole fleet, so cluster runs are as
-// bit-deterministic as single-host ones.  A ClusterScheduler routes
-// function registration (replica VM placement) and every invocation
-// (picked at arrival time against live per-host committed memory) across
-// the hosts; see src/cluster/scheduler.h for the policies.
+// bit-deterministic as single-host ones.  (A per-host sharded kernel was
+// tried and deleted: at 1024 hosts half the events ran serially at its
+// barriers and it stayed slower than this one wheel on 4 threads.)  A
+// ClusterScheduler routes function registration (replica VM placement)
+// and every invocation (picked at arrival time against live per-host
+// committed memory) across the hosts; see src/cluster/scheduler.h for the
+// policies.
 //
 // Layering: sim → mm/guest/hotplug → core → host/faas(+policy) → cluster.
 // The scheduler sees hosts only through the HostControl plane
@@ -38,7 +41,6 @@
 #include "src/snapshot/snapshot_store.h"
 #include "src/metrics/fleet.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/sharded_event_queue.h"
 #include "src/trace/trace_gen.h"
 
 namespace squeezy {
@@ -70,18 +72,7 @@ struct ClusterConfig {
   // restored working set instead of the full plug unit.  Off by default —
   // every existing experiment is bit-identical with it off.
   bool shared_snapshots = false;
-  // Event kernel for the fleet clock: one global timer wheel (default),
-  // or kSharded — every host its own wheel plus a cross-shard mailbox,
-  // driven by the Cluster in deterministic lockstep epochs
-  // (src/sim/sharded_event_queue.h).  Both fire events in identical
-  // order (locked by tests and the property fuzz), so this knob never
-  // changes results — only wall-clock speed.
-  EventQueue::Impl queue_impl = EventQueue::Impl::kTimerWheel;
-  // Thread-pool width for kSharded parallel epochs (coordinator thread
-  // included, at most one thread per host).  0 = read SQUEEZY_SIM_THREADS
-  // from the environment (defaulting to 1 when unset); ignored by the
-  // single-queue kernel.  Any value yields bit-identical results —
-  // threads only change wall-clock.
+  // Read by nothing; kept only so perfbench/driver.cc builds.
   size_t sim_threads = 0;
 };
 
@@ -110,43 +101,15 @@ class Cluster : private HostStateListener {
   // function index).  Routing happens per invocation at its arrival time.
   void SubmitTrace(const std::vector<Invocation>& trace) SQZ_EXCLUDES(mu_);
 
-  // Under kSharded these drive the epoch coordinator: advance all shards
-  // to the next cross-shard barrier in parallel, merge the barrier
-  // instant in (when, seq) order, repeat.  Single-queue impls just run.
-  void RunUntil(TimeNs t) {
-    if (sharded_ != nullptr) {
-      sharded_->RunUntil(t);
-    } else {
-      events_->RunUntil(t);
-    }
-  }
-  void RunAll() {
-    if (sharded_ != nullptr) {
-      sharded_->RunAll();
-    } else {
-      events_->RunAll();
-    }
-  }
+  void RunUntil(TimeNs t) { events_.RunUntil(t); }
+  void RunAll() { events_.RunAll(); }
 
   // --- Accessors -----------------------------------------------------------------
-  // The fleet-level queue: the single global queue, or — under kSharded —
-  // the cross-shard mailbox (dispatch, churn, migration completions).
-  // Fleet-sequential contexts (tests, benches, Cluster handlers) schedule
-  // here; per-host machinery runs on host_queue(h).
-  EventQueue& events() { return *events_; }
-  // The queue host h's runtime and agents fire on: its shard under
-  // kSharded, the global queue otherwise.
-  EventQueue& host_queue(size_t h) {
-    return sharded_ != nullptr ? sharded_->shard(h) : *events_;
-  }
-  // Null unless queue_impl == kSharded.
-  const ShardedEventQueue* sharded() const { return sharded_.get(); }
-  // Events executed across the whole kernel (all shards + mailbox under
-  // kSharded) — the bench throughput numerator.
-  uint64_t processed_events() const {
-    return sharded_ != nullptr ? sharded_->processed_events()
-                               : events_->processed_events();
-  }
+  // The fleet's one queue: every host, the dispatcher and migrations
+  // schedule here.
+  EventQueue& events() { return events_; }
+  // Events executed so far — the bench throughput numerator.
+  uint64_t processed_events() const { return events_.processed_events(); }
   size_t host_count() const { return hosts_.size(); }
   FaasRuntime& host(size_t h) { return *hosts_[h]; }
   const FaasRuntime& host(size_t h) const { return *hosts_[h]; }
@@ -159,8 +122,7 @@ class Cluster : private HostStateListener {
     return functions_.size();
   }
   // Returns a reference into the (locked) function table; callers run at
-  // quiescence (tests/benches between Run* calls) — under sharding this
-  // accessor is an epoch-barrier read.
+  // quiescence (tests/benches between Run* calls).
   const std::vector<Replica>& replicas(int cluster_fn) const SQZ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return functions_[static_cast<size_t>(cluster_fn)];
@@ -263,13 +225,9 @@ class Cluster : private HostStateListener {
   }
 
   const ClusterConfig config_;  // Immutable after construction.
-  // Exactly one of the two kernels below is live.  kSharded builds the
-  // per-host shard array + mailbox; kTimerWheel builds one global
-  // queue.  `events_` always points at the fleet-level queue (the
-  // mailbox under kSharded) so the scheduling sites read uniformly.
-  std::unique_ptr<ShardedEventQueue> sharded_;
-  std::unique_ptr<EventQueue> single_;
-  EventQueue* events_;  // Never null; &sharded_->global() or single_.get().
+  // Declared before every host: runtimes keep a pointer to it and cancel
+  // their timers on destruction.
+  EventQueue events_;
   // The unique_ptr targets below are installed once in the constructor
   // and never reseated; the pointed-to objects self-lock.
   std::unique_ptr<DepCache> dep_cache_;  // Null unless shared_dep_cache.

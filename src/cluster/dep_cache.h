@@ -59,9 +59,9 @@ struct DepCacheStats {
   uint64_t wire_bytes_saved = 0;  // deps_bytes that never crossed the wire.
 };
 
-// Lock discipline: the cache self-locks (`mu_`) — it is exactly the
-// cross-host shared state the per-host queue sharding will contend on.
-// Methods never call out of the class while holding `mu_`, so the lock
+// Lock discipline: the cache self-locks (`mu_`) — it is the cross-host
+// shared state every host's cold starts and migrations read.  Methods
+// never call out of the class while holding `mu_`, so the lock
 // is a leaf in the cluster ordering (see src/base/mutex.h).
 class DepCache : public DepImageRegistry {
  public:

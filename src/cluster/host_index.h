@@ -31,12 +31,12 @@
 // Determinism: every ordered structure is keyed by absolute values
 // (bytes, counts, stable indices) — never pointers or hashes — so the
 // index contents are a pure function of the host states regardless of
-// update arrival order across shard threads (tools/determinism_lint.py
+// update arrival order (tools/determinism_lint.py
 // rejects unordered or pointer-keyed containers in index-named state).
 //
 // Lock discipline: the index self-locks (`mu_`), a LEAF in the cluster
 // ordering (src/base/mutex.h): updates arrive from host layers below the
-// scheduler (possibly from shard threads mid-epoch), queries from the
+// scheduler, queries from the
 // decision layers above, and no method ever calls out of the class while
 // holding `mu_`.
 #ifndef SQUEEZY_CLUSTER_HOST_INDEX_H_

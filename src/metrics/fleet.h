@@ -9,9 +9,8 @@
 // see src/base/thread_annotations.h): MergeLatencies and SumSeries hold
 // NO shared state; each call is a pure function of its inputs, so they
 // are safe from any thread PROVIDED the per-host series they read are
-// quiescent.  Under the sharded-queue plan that means: call them only at
-// an epoch barrier, after every host shard has drained its events for
-// the epoch.  They must never grow hidden caches or globals — that would
+// quiescent: call them between Run* calls, never from an event handler
+// mid-run.  They must never grow hidden caches or globals — that would
 // silently break this contract (and the determinism lint's ban on
 // ambient time/randomness keeps the usual suspects out).
 #ifndef SQUEEZY_METRICS_FLEET_H_

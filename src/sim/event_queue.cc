@@ -24,19 +24,9 @@ EventId EventQueue::ScheduleAtLocked(TimeNs when, std::function<void()> fn) {
     when = now_;
   }
   const EventId id = next_id_++;
-  const uint64_t seq = seq_source_ != nullptr
-                           ? seq_source_->fetch_add(1, std::memory_order_relaxed) + 1
-                           : next_seq_++;
-  Insert(Entry{when, seq, id, std::move(fn)});
+  Insert(Entry{when, next_seq_++, id, std::move(fn)});
   live_.insert(id);
-  change_version_.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-void EventQueue::SetSequenceSource(std::atomic<uint64_t>* source) {
-  MutexLock lock(&mu_);
-  assert(next_seq_ == 1 && "sequence source must be set before any scheduling");
-  seq_source_ = source;
 }
 
 EventId EventQueue::ScheduleAt(TimeNs when, std::function<void()> fn) {
@@ -271,7 +261,6 @@ bool EventQueue::Cancel(EventId id) {
   if (!live_.erase(id)) {
     return false;
   }
-  change_version_.fetch_add(1, std::memory_order_relaxed);
   // Storage bound: a cancel-heavy workload (keep-alive churn) must not
   // grow the structures — or the closures its tombstones own — without
   // limit.  Compact once tombstones outnumber live entries.
@@ -318,7 +307,6 @@ std::function<void()> EventQueue::TakePeeked() {
     now_ = top.when;
   }
   ++processed_;
-  change_version_.fetch_add(1, std::memory_order_relaxed);
   return std::move(top.fn);
 }
 

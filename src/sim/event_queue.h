@@ -13,10 +13,9 @@
 //     and cascades into the fine wheel one region at a time, lazily, as
 //     the clock reaches it;
 //   * super wheel — ~36.6 min slots over the next ~26 days; multi-hour
-//     traces (the sharded fleet sweeps) land their far arrivals here
-//     O(1) and each slot is dumped into the coarse window when the
-//     clock enters its block, so long traces no longer pile the whole
-//     tail onto the overflow heap;
+//     traces land their far arrivals here O(1) and each slot is dumped
+//     into the coarse window when the clock enters its block, so long
+//     traces no longer pile the whole tail onto the overflow heap;
 //   * overflow heap — anything beyond the super horizon, plus entries
 //     scheduled behind an already-advanced region; rare, and always
 //     consulted by the peek so order can never be lost.
@@ -27,7 +26,6 @@
 #ifndef SQUEEZY_SIM_EVENT_QUEUE_H_
 #define SQUEEZY_SIM_EVENT_QUEUE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -141,21 +139,10 @@ class EventIdSet {
 // Lock discipline: the queue self-locks (`mu_`), and event handlers are
 // ALWAYS invoked with `mu_` released — a handler may freely call
 // ScheduleAt/ScheduleAfter/Cancel back into the queue (the simulator does
-// this constantly).  Today a single thread drives the queue; once the
-// per-host sharding lands, `mu_` is the shard's serialization point and
-// the discipline below is already machine-checked by clang.
+// this constantly).  One thread drives the queue; clang machine-checks
+// the discipline below all the same.
 class EventQueue {
  public:
-  // The fleet kernel a Cluster runs (ClusterConfig::queue_impl).  Every
-  // EventQueue is a timer wheel; the enum is interpreted by the Cluster
-  // only.
-  enum class Impl {
-    kTimerWheel,  // One global wheel for the whole fleet (default).
-    // Per-host wheel shards driven in deterministic lockstep epochs
-    // (src/sim/sharded_event_queue.h); each shard is one EventQueue.
-    kSharded,
-  };
-
   EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -192,32 +179,22 @@ class EventQueue {
   // `max_events` guards against runaway self-rescheduling loops.
   void RunAll(uint64_t max_events = 50'000'000) SQZ_EXCLUDES(mu_);
 
-  // --- Sharded-coordinator primitives (src/sim/sharded_event_queue.h) ------
+  // --- Stepping primitives ------------------------------------------------------
+  // A caller that observes the fleet after every event (the stepped
+  // placement oracle in tests/property_test.cc) drives the queue with
+  // these instead of RunUntil.
   // The earliest live event's (when, seq) without running it; false when
   // drained.  Prunes tombstones and positions the scan cursor, so
-  // repeated peeks on an unchanged queue are cheap (pair with
-  // change_version() to skip re-peeking unchanged shards entirely).
+  // repeated peeks on an unchanged queue are cheap.
   bool PeekNext(TimeNs* when, uint64_t* seq) SQZ_EXCLUDES(mu_);
   // Pops and runs the earliest live event (handler invoked unlocked);
-  // false when drained.  The coordinator's (when, seq) merge primitive.
+  // false when drained.
   bool RunOne() SQZ_EXCLUDES(mu_);
-  // Advances the clock to `t` when behind, without running events — the
-  // epoch-barrier clock sync.  Unlike AdvanceBy it is idempotent and
-  // never moves the clock backwards.  Contract: the caller has already
-  // drained every event earlier than `t` (the coordinator's RunUntil(t-1)
-  // phase); events pending at exactly `t` still fire normally.
+  // Advances the clock to `t` when behind, without running events.
+  // Unlike AdvanceBy it is idempotent and never moves the clock
+  // backwards.  Contract: the caller has already run every event earlier
+  // than `t`; events pending at exactly `t` still fire normally.
   void SyncNow(TimeNs t) SQZ_EXCLUDES(mu_);
-  // Draws scheduling sequence numbers from `source` instead of the
-  // internal counter.  Every shard of a ShardedEventQueue shares one
-  // source, so (when, seq) totally orders events fleet-wide and the
-  // barrier merge is deterministic.  Set before any event is scheduled.
-  void SetSequenceSource(std::atomic<uint64_t>* source) SQZ_EXCLUDES(mu_);
-  // Monotone counter bumped by every mutation that can change the
-  // earliest pending event (schedule, cancel, pop).  The coordinator
-  // caches PeekNext() per shard and re-peeks only on a version change.
-  uint64_t change_version() const {
-    return change_version_.load(std::memory_order_relaxed);
-  }
 
   bool empty() const SQZ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -326,13 +303,8 @@ class EventQueue {
   mutable Mutex mu_;
   TimeNs now_ SQZ_GUARDED_BY(mu_) = 0;
   uint64_t next_seq_ SQZ_GUARDED_BY(mu_) = 1;
-  // Shared fleet-wide sequence source (sharded mode); null = next_seq_.
-  std::atomic<uint64_t>* seq_source_ SQZ_GUARDED_BY(mu_) = nullptr;
   EventId next_id_ SQZ_GUARDED_BY(mu_) = 1;
   uint64_t processed_ SQZ_GUARDED_BY(mu_) = 0;
-  // Bumped on schedule/cancel/pop; read unlocked by the coordinator
-  // between epochs (never concurrently with this shard's phase).
-  std::atomic<uint64_t> change_version_{0};
   bool peek_overflow_ SQZ_GUARDED_BY(mu_) = false;
   // Coarse tick covered by the fine wheel.
   uint64_t region_ SQZ_GUARDED_BY(mu_) = 0;

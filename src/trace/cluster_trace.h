@@ -37,12 +37,10 @@ struct ClusterTraceConfig {
   DurationNs mean_burst_len = Sec(20);
   DurationNs mean_gap = Sec(90);
   // Round every arrival instant DOWN to a multiple of this quantum
-  // (0 = off, the default — existing traces are bit-identical).  Fleet
-  // sweeps on the sharded kernel use a coarse quantum (e.g. 1 ms) so
-  // arrivals land on few distinct instants: each instant is one epoch
-  // barrier, and fewer barriers means fatter parallel phases between
-  // them.  Results stay a pure function of (config, seed) — both queue
-  // impls consume the same quantized trace.
+  // (0 = off, the default — existing traces are bit-identical).  The
+  // fig12 256-1024-host rows use 1 ms; it stays because their recorded
+  // 256-host gate constants (admitted, events, routing hash) were taken
+  // on the quantized trace.
   DurationNs arrival_quantum = 0;
 };
 

@@ -5,10 +5,10 @@
 // an ORDERED map precisely so that every dump path (ChargedImages,
 // RecordedKeys, the BenchJson rows built from them) is a pure function of
 // the inserted SET — never of insertion order, which varies with host
-// count, placement policy, and future event-queue sharding.  This test
-// drives both registries through every permutation of a key set, applying
-// a fixed per-key operation script, and asserts that stats, dump output,
-// and the BenchJson file bytes are identical across permutations.
+// count and placement policy.  This test drives both registries through
+// every permutation of a key set, applying a fixed per-key operation
+// script, and asserts that stats, dump output, and the BenchJson file
+// bytes are identical across permutations.
 #include <gtest/gtest.h>
 
 #include <algorithm>

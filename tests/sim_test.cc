@@ -1,5 +1,5 @@
-// Unit tests for the simulation kernel: time, RNG, event queue, sharded
-// pool sizing, CPU accounting, cost model helpers.
+// Unit tests for the simulation kernel: time, RNG, event queue, CPU
+// accounting, cost model helpers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include "src/sim/cpu_accountant.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/sharded_event_queue.h"
 #include "src/sim/time.h"
 
 namespace squeezy {
@@ -471,9 +470,10 @@ TEST(EventQueueTest, SuperWheelCancelAndCompactStayBounded) {
 }
 
 TEST(EventQueueTest, PeekNextAndSyncNowCoordinatorContract) {
-  // The sharded coordinator's primitives: PeekNext reports the exact
-  // (when, seq) head without running it, RunOne fires precisely one
-  // event, and SyncNow only ever moves the clock forward.
+  // The stepping primitives PerEventPlacementOracleTest drives the fleet
+  // with: PeekNext reports the exact (when, seq) head without running it,
+  // RunOne fires precisely one event, and SyncNow only ever moves the
+  // clock forward.
   EventQueue q;
   std::vector<int> fired;
   q.ScheduleAt(Msec(5), [&] { fired.push_back(0); });
@@ -497,25 +497,6 @@ TEST(EventQueueTest, PeekNextAndSyncNowCoordinatorContract) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
   EXPECT_FALSE(q.PeekNext(&when, &seq));
   EXPECT_FALSE(q.RunOne());
-}
-
-// --- ShardedEventQueue pool sizing -------------------------------------------------
-
-TEST(ShardedEventQueueTest, PoolIsNeverWiderThanTheShardArray) {
-  // A phase stripes shards over the pool, so threads beyond the shard
-  // count would only idle: 64 requested threads on 2 shards run as the
-  // coordinator plus at most 1 worker (and the run still drains).
-  ShardedEventQueue q(/*nr_shards=*/2, /*threads=*/64, /*serial_lockstep=*/false);
-  EXPECT_LE(q.threads(), 2u);
-  int fired = 0;
-  q.shard(0).ScheduleAt(Msec(1), [&] { ++fired; });
-  q.shard(1).ScheduleAt(Msec(2), [&] { ++fired; });
-  q.global().ScheduleAt(Msec(3), [&] { ++fired; });
-  q.RunAll();
-  EXPECT_EQ(fired, 3);
-  // Narrower requests are honoured as given.
-  EXPECT_EQ(ShardedEventQueue(4, 2, false).threads(), 2u);
-  EXPECT_EQ(ShardedEventQueue(4, 1, false).threads(), 1u);
 }
 
 // --- CpuAccountant ----------------------------------------------------------------

@@ -29,16 +29,6 @@ rejects the constructs that silently break that property:
   address-format       "%p" in a format string or streaming a void* cast —
                        addresses in sim-visible output are nondeterminism
                        made visible.
-  thread-id-key        std::thread::id used as a container key (or
-                       std::hash over it) — the OS assigns thread ids,
-                       they differ run to run even at a fixed pool size.
-                       Key on the shard or slice index instead.
-  unordered-mailbox    a cross-shard mailbox/inbox declared as an
-                       unordered container — cross-shard events must
-                       drain in (when, seq) order or sharded replays
-                       diverge from the single-queue reference.  Use an
-                       ordered structure (the sharded kernel's mailbox
-                       is a full EventQueue for exactly this reason).
   index-container      a placement/candidate index declared as an
                        unordered container or keyed on pointer values —
                        an index's walk order IS decision order
@@ -48,8 +38,8 @@ rejects the constructs that silently break that property:
                        structure (or any associative container inside an
                        *index*-named file) turn placement into a
                        nondeterministic function.  Flagged at the
-                       DECLARATION, like unordered-mailbox: the shape is
-                       wrong before anyone walks it.  Use ordered
+                       DECLARATION: the shape is wrong before anyone
+                       walks it.  Use ordered
                        containers over stable value keys (host id,
                        replica index).
 
@@ -108,20 +98,6 @@ POINTER_ORDER_RES = [
 ]
 
 ADDRESS_STREAM_RE = re.compile(r"<<\s*(?:static_cast\s*<\s*(?:const\s+)?void\s*\*\s*>|\(\s*(?:const\s+)?void\s*\*\s*\))")
-
-THREAD_ID_KEY_RES = [
-    re.compile(r"std::hash\s*<\s*std::thread::id\s*>"),
-    # std::thread::id as the key of any associative container.
-    re.compile(
-        r"std::(?:map|set|multimap|multiset|unordered_map|unordered_set|"
-        r"unordered_multimap|unordered_multiset)\s*<\s*std::thread::id"),
-]
-
-# Cross-shard mail must be drained in deterministic order; an unordered
-# container under a mailbox-ish name is flagged at the DECLARATION (the
-# unordered-iteration rule only fires once someone iterates it — too late
-# for a queue whose drain order IS the contract).
-MAILBOX_NAME_RE = re.compile(r"mailbox|inbox|cross_shard", re.IGNORECASE)
 
 # Placement/candidate indexes must walk in a deterministic order; flagged
 # at the declaration (index-container) when the variable or the file is
@@ -241,23 +217,6 @@ def lint_file(relpath, lines, unordered_names, findings):
                 "address-format",
                 "formatting a raw address: addresses differ across runs; "
                 "print a stable id instead"))
-        for rx in THREAD_ID_KEY_RES:
-            if rx.search(code):
-                line_findings.append((
-                    "thread-id-key",
-                    "std::thread::id keyed/hashed: the OS assigns thread ids "
-                    "and they differ run to run; key on the shard or pool "
-                    "slice index instead"))
-                break
-        for m in UNORDERED_DECL_RE.finditer(code):
-            if MAILBOX_NAME_RE.search(m.group(1)):
-                line_findings.append((
-                    "unordered-mailbox",
-                    "cross-shard mailbox declared unordered: cross-shard "
-                    "events must drain in (when, seq) order; use an ordered "
-                    "structure (an EventQueue, like the sharded kernel's "
-                    "mailbox shard)"))
-                break
         for m in ASSOC_DECL_RE.finditer(code):
             if not (file_is_index or INDEX_NAME_RE.search(m.group("name"))):
                 continue

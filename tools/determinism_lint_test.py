@@ -80,15 +80,6 @@ class BadFixtures(unittest.TestCase):
         # "%p" format string and streaming a void* cast.
         self.expect("bad_address_format.cc", "address-format", 2)
 
-    def test_thread_id_key(self):
-        # thread::id-keyed map, thread::id unordered_set, std::hash over it.
-        self.expect("bad_thread_id_key.cc", "thread-id-key", 3)
-
-    def test_unordered_mailbox(self):
-        # Flagged at the declaration: no iteration anywhere in the fixture.
-        self.expect("bad_unordered_mailbox.cc", "unordered-mailbox", 2)
-        self.expect("bad_unordered_mailbox.cc", "unordered-iteration", 0)
-
     def test_index_container(self):
         # Unordered index-named map, unordered set in an index-named file,
         # pointer-keyed index-named map.  The ordered value-keyed map in
@@ -114,12 +105,6 @@ class GoodFixtures(unittest.TestCase):
         code, lines = run_lint(
             "--root", TESTDATA, "--allowlist", EMPTY_ALLOWLIST,
             "good/good_clean.cc")
-        self.assertEqual(code, 0, lines)
-
-    def test_ordered_mailbox_passes(self):
-        code, lines = run_lint(
-            "--root", TESTDATA, "--allowlist", EMPTY_ALLOWLIST,
-            "good/good_mailbox.cc")
         self.assertEqual(code, 0, lines)
 
     def test_ordered_index_passes(self):

@@ -20,26 +20,32 @@ MemMap::MemMap(uint64_t span_bytes) {
 }
 
 Page MemMap::UniformFrame(Pfn pfn) const {
-  const Page& record = records_[pfn / kGranulePages];
-  return pfn % kGranulePages == 0 ? record : Tail(record);
-}
-
-Page* MemMap::FramesToOverwrite(Pfn pfn) {
-  Frames& frames = frames_[pfn / kGranulePages];
-  if (frames == nullptr) {
-    frames = Frames(std::allocator<Page>().allocate(kGranulePages));
-    ++materialized_;
-    materialized_peak_ = std::max(materialized_peak_, materialized_);
+  Page frame = records_[pfn / kGranulePages];
+  const uint32_t i = pfn % kGranulePages;
+  if (IsRun(frame)) {
+    frame.owner_slot += i;
+    return frame;
   }
-  return frames.get();
+  return i == 0 ? frame : Tail(frame);
 }
 
 Page* MemMap::Materialize(uint32_t granule) {
   assert(frames_[granule] == nullptr);
-  // One stamping pass: frame 0 is the record, every other frame its tail.
-  Page* frames = FramesToOverwrite(granule * kGranulePages);
-  FillPages(frames, kGranulePages, Tail(records_[granule]));
-  frames[0] = records_[granule];
+  Page* frames = std::allocator<Page>().allocate(kGranulePages);
+  frames_[granule] = Frames(frames);
+  ++materialized_;
+  materialized_peak_ = std::max(materialized_peak_, materialized_);
+  // One stamping pass: a run's frames count their slots up from the
+  // record's; otherwise frame 0 is the record and every other its tail.
+  Page frame = records_[granule];
+  if (IsRun(frame)) {
+    for (uint32_t i = 0; i < kGranulePages; ++i, ++frame.owner_slot) {
+      FillPages(frames + i, 1, frame);
+    }
+    return frames;
+  }
+  FillPages(frames, kGranulePages, Tail(frame));
+  frames[0] = frame;
   return frames;
 }
 
@@ -68,6 +74,12 @@ void MemMap::SetBlock(BlockIndex b, const Page& frame) {
   for (uint32_t g = first; g < first + kGranulesPerBlock; ++g) {
     DropFrames(g);
   }
+}
+
+void MemMap::SetRun(Pfn pfn, const Page& first) {
+  assert(pfn % kGranulePages == 0 && IsRun(first));
+  records_[pfn / kGranulePages] = first;
+  DropFrames(pfn / kGranulePages);
 }
 
 void MemMap::DropFrames(uint32_t granule) {

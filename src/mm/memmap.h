@@ -11,18 +11,26 @@
 // bit every frame the per-page code writes at order >= kThpOrder: a free
 // chunk or allocated folio of order 9 (record = head) or 10 (the second
 // granule's record is itself a tail), isolated and offline frames
-// (order 0, head=false), and holes.  So the buddy allocator's order >= 9
+// (order 0, head=false), and holes.  One more rule, for *runs*: a record
+// that is an allocated order-0 head reads frame i as the record with
+// owner_slot + i — a granule AllocPages took whole (SetRun), as a file
+// fault or balloon inflation takes it.  No other write leaves such a
+// record (every write below order 9 goes through frames), so the record
+// alone says which rule applies.  So the buddy allocator's order >= 9
 // work writes one or two records, a hot(un)plug lifecycle step writes a
-// block's 64 records, and a block that only ever held THP folios never
-// allocates a frame.
+// block's 64 records, a run writes one per granule, and a block that
+// only ever held THP folios and whole runs never allocates a frame.
 //
 // Materialize on split, drop on any order >= 9 write.  A mutable page()
 // access materializes only its granule: one 512-frame stamp from the
-// record.  In practice that is the first split of a granule's chunk below
-// order 9.  Every chunk write at order >= 9 (SetChunk: THP/max-order
-// alloc, free, isolation; SetBlock: init, retire, teardown) writes records
-// and frees the frames, so a granule holds frames only while something
-// below THP order lives in it (or a mutable touch materialized it).
+// record (a run's with ascending slots, so the first Free, migration or
+// isolation of one of its frames leaves the frames the per-page code
+// had).  In practice that is the first split of a granule's chunk below
+// order 9, or the first write to a run.  Every chunk write at order >= 9
+// (SetChunk: THP/max-order alloc, free, isolation; SetBlock: init,
+// retire, teardown) and every SetRun writes records and frees the
+// frames, so a granule holds frames only while something below THP order
+// other than a whole run lives in it (or a mutable touch materialized it).
 // Reads that must not materialize go through the const accessor.  Every
 // state transition and every frame read is bit-identical to a flat
 // per-page array (tests/flat_mm_oracle.h), apart from where free-list
@@ -88,14 +96,14 @@ class MemMap {
     }
     return frames[pfn % kGranulePages];
   }
-  // Const access never materializes: a uniform granule's frame is its
-  // record or the record's tail.
+  // Const access never materializes: a uniform granule's frame is read off
+  // its record (the record, its tail, or a run's frame).
   Page page(Pfn pfn) const {
     const Page* frames = frames_[pfn / kGranulePages].get();
     return frames != nullptr ? frames[pfn % kGranulePages] : UniformFrame(pfn);
   }
 
-  // Frame 1..511 of a uniform granule whose frame 0 is `head`.
+  // Frame 1..511 of a uniform granule (not a run) whose frame 0 is `head`.
   static Page Tail(Page head) {
     head.head = false;
     head.owner = kNoOwner;
@@ -107,7 +115,8 @@ class MemMap {
   bool Materialized(Pfn pfn) const { return frames_[pfn / kGranulePages] != nullptr; }
   // The first frame after pfn whose state, kind, order and zone may differ
   // from pfn's: pfn + 1 in a granule with frames, the granule's end in a
-  // uniform one (whose frames differ only in `head` and owner words).
+  // uniform one (whose frames differ only in `head` and owner words; a
+  // run's only in owner_slot).
   Pfn NextDistinct(Pfn pfn) const {
     return Materialized(pfn) ? pfn + 1 : (pfn | (kGranulePages - 1)) + 1;
   }
@@ -174,10 +183,10 @@ class MemMap {
   uint64_t materialized_peak_bytes() const { return materialized_peak_ * GranuleBytes(); }
 
  private:
-  // The zone writes records directly for its order >= 9 work.
+  // The zone writes records directly for its order >= 9 work and its runs.
   friend class Zone;
 
-  // Frames are filled in place by their first writer (one pass, no
+  // Frames are stamped in place by Materialize (one pass, no
   // value-initialization first); Page is trivially destructible.
   struct FramesDeleter {
     void operator()(Page* frames) const {
@@ -193,6 +202,10 @@ class MemMap {
   };
   static constexpr uint32_t kBackingWords = kPagesPerBlock / 64;
 
+  // Whether a uniform granule with this record is a run (see above).
+  static bool IsRun(const Page& record) {
+    return record.state == PageState::kAllocated && record.head && record.order == 0;
+  }
   // Frame `pfn` of its uniform granule.  Out of line: inlined, the tail's
   // bit-field write merges into every caller's frame read and stalls its
   // store forwarding.
@@ -210,9 +223,9 @@ class MemMap {
   void SetChunk(Pfn pfn, uint8_t order, const Page& head);
   // Every frame of block b becomes `frame` (a non-head, ownerless frame).
   void SetBlock(BlockIndex b, const Page& frame);
-  // The frames of pfn's granule for a caller that overwrites all 512 of
-  // them: a uniform granule gets frames without the stamp from its record.
-  Page* FramesToOverwrite(Pfn pfn);
+  // The granule at pfn (aligned) becomes a run headed by `first`, an
+  // allocated order-0 head, and loses its frames.
+  void SetRun(Pfn pfn, const Page& first);
   Page* Materialize(uint32_t granule);
   void DropFrames(uint32_t granule);
 

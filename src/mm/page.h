@@ -9,7 +9,9 @@
 // The same 12-byte struct is also a granule record (memmap.h): each 2 MiB
 // granule stores one Page that is its frame 0, and while the granule has
 // no frames of its own, frames 1..511 read as that record's tails (the
-// record with head=false and owner words {kNoOwner, 0}).
+// record with head=false and owner words {kNoOwner, 0}) — or, when the
+// record is an allocated order-0 head (a run), frame i reads as the
+// record with owner_slot + i.
 //
 // Layout (12 bytes):
 //   bytes 0-1   flags: state:3, kind:2, order:4, head:1

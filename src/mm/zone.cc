@@ -299,14 +299,19 @@ uint64_t Zone::AllocPages(uint64_t n, PageKind kind, int32_t owner, uint32_t fir
     const uint32_t size = 1u << from;
     const uint32_t take = static_cast<uint32_t>(std::min<uint64_t>(n - done, size));
     // A granule at a time (a chunk below THP order lies in one granule, a
-    // larger one starts at a granule): a granule taken whole is written
-    // once, a partly taken one materializes first.
+    // larger one starts at a granule): a granule taken whole becomes one
+    // run record, a partly taken one materializes and is filled frame by
+    // frame.
     uint32_t slot = first_slot + static_cast<uint32_t>(done);
     for (uint32_t g = 0; g < take; g += kGranulePages) {
-      const uint32_t stop = std::min(take - g, kGranulePages);
-      Page* pages = stop == kGranulePages ? memmap_->FramesToOverwrite(chunk + g)
-                                          : &memmap_->page(chunk + g);
-      for (uint32_t i = 0; i < stop; ++i) {
+      if (take - g >= kGranulePages) {
+        frame.owner_slot = slot;
+        memmap_->SetRun(chunk + g, frame);
+        slot += kGranulePages;
+        continue;
+      }
+      Page* pages = &memmap_->page(chunk + g);
+      for (uint32_t i = 0; i < take - g; ++i) {
         frame.owner_slot = slot++;
         FillPages(pages + i, 1, frame);
       }

@@ -13,8 +13,9 @@
 // FreeIntoIsolation of one, and the isolation or retirement of such a
 // chunk each write one or two records (and free the granule's frames if
 // it had any).  Below order 9 the zone materializes the one granule
-// involved and runs the per-page code; AllocPages materializes granules
-// as it takes their frames.  So onlining, isolating and retiring a block
+// involved and runs the per-page code; AllocPages writes a granule it
+// takes whole as one run record (memmap.h) and materializes only a
+// granule it takes in part.  So onlining, isolating and retiring a block
 // whose chunks were never split costs O(64) record writes, and the range
 // walks (IsolateFreeRange, UndoIsolation, migration's scan) step over a
 // uniform granule in one move.  The free-list order and the shuffle RNG's
@@ -27,9 +28,10 @@
 // exactly the picks, frame states, free-list order and counters of n
 // Alloc(0) calls: it consumes whole chunks and splits at most one, instead
 // of splitting a chunk down order by order for every page.  Page i's
-// owner slot is first_slot + i, written as its frame is filled, and each
-// chunk's taken frames come back as one (pfn, count) run, so a caller
-// that keeps runs (the page cache) never touches a per-page array.
+// owner slot is first_slot + i (a granule taken whole holds its 512 slots
+// in one run record), and each chunk's taken frames come back as one
+// (pfn, count) run, so a caller that keeps runs (the page cache) never
+// touches a per-page array.
 //
 // The offline path uses the isolation primitives: free pages in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
@@ -9,6 +10,7 @@
 #include "src/mm/memmap.h"
 #include "src/mm/zone.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/rng.h"
 
 namespace squeezy {
 namespace {
@@ -48,8 +50,10 @@ TEST_F(BalloonTest, InflateReservesPages) {
 TEST_F(BalloonTest, PerPageCostDominatedByExits) {
   const BalloonOutcome out = balloon_->Inflate(MiB(8), zone_.get(), 0);
   const uint64_t pages = MiB(8) / kPageSize;
-  EXPECT_EQ(out.breakdown.rest, static_cast<DurationNs>(pages) * cost_.balloon_guest_page);
-  EXPECT_EQ(out.breakdown.vm_exits, static_cast<DurationNs>(pages) * cost_.balloon_exit_page);
+  EXPECT_EQ(out.breakdown.rest,
+            static_cast<DurationNs>(pages) * cost_.balloon_guest_page);
+  EXPECT_EQ(out.breakdown.vm_exits,
+            static_cast<DurationNs>(pages) * cost_.balloon_exit_page);
   // Paper Fig 5: ~81% of balloon reclaim is exit/host work.
   const double exit_frac =
       static_cast<double>(out.breakdown.vm_exits) / static_cast<double>(out.latency());
@@ -69,6 +73,60 @@ TEST_F(BalloonTest, InflatedPagesAreUnmovableKernelPages) {
   EXPECT_EQ(kernel_pages, 10u);
 }
 
+TEST(BalloonRunTest, InflateMaterializesNothingAndDeflateOnlyWhatItFreesInto) {
+  // 3 GiB onlined into a shuffled zone: its free lists hold max-order
+  // chunks in random order, and a 2 GiB inflation takes 512 of them whole.
+  CostModel cost = CostModel::Default();
+  MemMap memmap(GiB(3));
+  Rng shuffle(11);
+  Zone zone(0, ZoneType::kMovable, "mv", &memmap, &shuffle);
+  for (BlockIndex b = 0; b < memmap.block_count(); ++b) {
+    memmap.InitBlock(b);
+    zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+  }
+  HostMemory host(GiB(8));
+  Hypervisor hv(&host, &cost);
+  const VmId vm = hv.RegisterVm("vm", 1);
+  BalloonDevice balloon(&memmap, &cost, &hv, vm);
+  const MemMap& m = memmap;  // Reads that must not materialize.
+  const BalloonOutcome out = balloon.Inflate(GiB(2), &zone, 0);
+  ASSERT_TRUE(out.complete);
+  EXPECT_EQ(memmap.materialized_peak_granules(), 0u);
+  // Every frame reads as a held order-0 kernel page; the held pages'
+  // slots run 0..n-1 over the whole inflation.
+  uint64_t held = 0;
+  std::set<uint32_t> slots;
+  for (Pfn pfn = 0; pfn < memmap.span_pages(); ++pfn) {
+    const Page p = m.page(pfn);
+    if (p.state == PageState::kAllocated) {
+      ASSERT_TRUE(p.kind == PageKind::kKernel && p.head && p.order == 0) << pfn;
+      slots.insert(p.owner_slot);
+      ++held;
+    }
+  }
+  EXPECT_EQ(held, out.pages);
+  EXPECT_EQ(slots.size(), out.pages);
+  EXPECT_EQ(*slots.rbegin(), out.pages - 1);
+  EXPECT_EQ(memmap.materialized_granules(), 0u);
+
+  // Deflating 3 MiB frees the last 768 held pages: all of the last
+  // granule (which coalesces back to a free THP chunk and drops its
+  // frames) and half of the one before it, the only granule left split.
+  balloon.Deflate(MiB(3), memmap, &zone);
+  EXPECT_EQ(memmap.materialized_peak_granules(), 1u);
+  EXPECT_EQ(memmap.materialized_granules(), 1u);
+  uint32_t split = 0;
+  for (Pfn g = 0; g < memmap.span_pages(); g += kGranulePages) {
+    if (memmap.Materialized(g)) {
+      ++split;
+      EXPECT_EQ(m.page(g).state, PageState::kAllocated);
+      EXPECT_EQ(m.page(g + kGranulePages - 1).state, PageState::kFree);
+    }
+  }
+  EXPECT_EQ(split, 1u);
+  EXPECT_TRUE(zone.CheckFreeLists());
+}
+
 TEST_F(BalloonTest, InflateReleasesHostBacking) {
   // Pre-populate host backing for the first block.
   hv_->NestedFaultPopulate(vm_, 1, kMemoryBlockBytes, 0);
@@ -85,7 +143,8 @@ TEST_F(BalloonTest, InflateStallsWhenZoneExhausted) {
       break;
     }
   }
-  while (zone_->Alloc(0, PageKind::kAnon, 1, 0) != kInvalidPfn && zone_->free_pages() > 10) {
+  while (zone_->Alloc(0, PageKind::kAnon, 1, 0) != kInvalidPfn &&
+         zone_->free_pages() > 10) {
   }
   const BalloonOutcome out = balloon_->Inflate(MiB(1), zone_.get(), 0);
   EXPECT_FALSE(out.complete);
@@ -124,8 +183,8 @@ TEST_F(BalloonTest, ScalingIsLinearInSize) {
   const BalloonOutcome small = balloon_->Inflate(MiB(8), zone_.get(), 0);
   BalloonDevice dev2(memmap_.get(), &cost_, hv_.get(), vm_);
   const BalloonOutcome big = dev2.Inflate(MiB(32), zone_.get(), 0);
-  EXPECT_NEAR(static_cast<double>(big.latency()) / static_cast<double>(small.latency()), 4.0,
-              0.01);
+  EXPECT_NEAR(static_cast<double>(big.latency()) / static_cast<double>(small.latency()),
+              4.0, 0.01);
 }
 
 }  // namespace

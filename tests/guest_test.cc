@@ -452,6 +452,27 @@ TEST_F(GuestTest, BlockZoneReadsSummarizedBlockWithoutMaterializing) {
   EXPECT_EQ(guest_->memmap().materialized_granules(), before);
 }
 
+TEST_F(GuestTest, ColdFileFaultOnFreshMemoryMaterializesNoGranule) {
+  // A cold fault of a 200 MiB file on freshly plugged memory takes whole
+  // max-order chunks: every granule it fills is one run record.
+  ASSERT_TRUE(guest_->PlugMemory(MiB(256), 0).complete);
+  const int32_t file = guest_->CreateFile("deps", MiB(200));
+  const Pid pid = guest_->CreateProcess();
+  ASSERT_FALSE(guest_->TouchFile(pid, file, MiB(200), 0).oom);
+  const uint64_t pages = MiB(200) / kPageSize;
+  ASSERT_EQ(guest_->page_cache().cached_pages(file), pages);
+  const MemMap& m = guest_->memmap();
+  EXPECT_EQ(m.materialized_peak_granules(), 0u);
+  // Page i of the file is an order-0 file folio with slot i.
+  for (uint64_t i = 0; i < pages; ++i) {
+    const Page p = m.page(guest_->page_cache().Lookup(file, i));
+    ASSERT_TRUE(p.state == PageState::kAllocated && p.kind == PageKind::kFile &&
+                p.head && p.order == 0 && p.owner == file && p.owner_slot == i)
+        << "file page " << i;
+  }
+  EXPECT_EQ(m.materialized_granules(), 0u);
+}
+
 TEST(GuestWarmTest, WarmAllHostBackingMatchesPerPageTwin) {
   // Two identical guests; in the twin every present block is materialized
   // by a mutable touch first, so its warm-up walks pages as it always did.

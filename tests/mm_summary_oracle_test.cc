@@ -8,18 +8,24 @@
 // both freed back, listed order-9 heads shuffled, an order-10 folio freed
 // into isolation, a partial isolate that cuts granules),
 // host backing set over ranges that cross block boundaries and dropped
-// frame by frame, and the whole offline of a block emptied while
-// materialized (which must drop all its frames).  Every returned pfn
-// and count, every zone counter and every frame (state, ownership, host
-// backing and free-list links, read without materializing) must agree.
+// frame by frame, the whole offline of a block emptied while
+// materialized (which must drop all its frames), and run granules (a
+// granule AllocPages takes whole, held as one record) under a Free of
+// one of their frames, the migration of their block, an isolation and
+// undo across them, or FolioHead/CountBlockPages reads.  Every returned
+// pfn and count, every zone counter and every frame (state, ownership,
+// host backing and free-list links, read without materializing) must
+// agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/mm/memmap.h"
+#include "src/mm/migration.h"
 #include "src/mm/zone.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/rng.h"
@@ -82,6 +88,55 @@ void ExpectSameBlock(const MemMap& m, const oracle::FlatMemMap& o, BlockIndex b,
   ASSERT_EQ(m.BlockOccupied(b), o.BlockOccupied(b)) << "block " << b << " step " << step;
 }
 
+// A range boundary at pfn, moved to the head of the free chunk it would
+// cut (isolation takes free chunks whole).
+Pfn FreeChunkBoundary(const oracle::FlatMemMap& o, Pfn pfn) {
+  if (o.page(pfn).state != PageState::kFree) {
+    return pfn;
+  }
+  for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
+    const Pfn head = pfn & ~((1u << order) - 1);
+    const oracle::FlatPage& f = o.page(head);
+    if (f.state == PageState::kFree && f.head && head + (1u << f.order) > pfn) {
+      return head;
+    }
+  }
+  return pfn;
+}
+
+// MigrateOutOfRange over the per-page oracle: the same walk, one oracle
+// Alloc per folio, the target backed by the copy.
+MigrateOutcome OracleMigrate(oracle::FlatMemMap& o, oracle::FlatZone& src,
+                             oracle::FlatZone& target, Pfn start, uint64_t npages) {
+  MigrateOutcome out;
+  for (Pfn pfn = start; pfn < start + npages;) {
+    const oracle::FlatPage p = o.page(pfn);
+    if (p.state != PageState::kAllocated) {
+      ++pfn;
+      continue;
+    }
+    if (p.kind == PageKind::kKernel) {
+      out.ok = false;
+      return out;
+    }
+    const uint32_t n = 1u << p.order;
+    const Pfn to = target.Alloc(p.order, p.kind, p.owner, p.owner_slot);
+    if (to == kInvalidPfn) {
+      out.ok = false;
+      return out;
+    }
+    for (Pfn q = to; q < to + n; ++q) {
+      out.pages_newly_backed += o.page(q).host_populated ? 0 : 1;
+      o.page(q).host_populated = true;
+    }
+    src.FreeIntoIsolation(pfn);
+    ++out.folios_moved;
+    out.pages_moved += n;
+    pfn += n;
+  }
+  return out;
+}
+
 class SummaryOracleFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
@@ -136,7 +191,7 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
   };
 
   for (int step = 0; step < kSteps; ++step) {
-    switch (rng.UniformInt(0, 17)) {
+    switch (rng.UniformInt(0, 18)) {
       case 0: {  // Plug.
         const int64_t b = pick_block(Model::kAbsent);
         if (b >= 0) {
@@ -449,22 +504,9 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
         const Pfn end = start + kPagesPerBlock;
         // One end cuts the folio's uniform granule; the other lands
         // anywhere but inside a free chunk (a cut there moves to its head).
-        auto boundary = [&](Pfn pfn) {
-          if (o.page(pfn).state != PageState::kFree) {
-            return pfn;
-          }
-          for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
-            const Pfn head = pfn & ~((1u << order) - 1);
-            const oracle::FlatPage& f = o.page(head);
-            if (f.state == PageState::kFree && f.head && head + (1u << f.order) > pfn) {
-              return head;
-            }
-          }
-          return pfn;
-        };
         Pfn lo = thp + static_cast<Pfn>(rng.UniformInt(1, kGranulePages - 1));
-        Pfn hi =
-            boundary(start + static_cast<Pfn>(rng.UniformInt(1, kPagesPerBlock - 1)));
+        Pfn hi = FreeChunkBoundary(
+            o, start + static_cast<Pfn>(rng.UniformInt(1, kPagesPerBlock - 1)));
         if (lo > hi) {
           std::swap(lo, hi);
         }
@@ -480,6 +522,183 @@ TEST_P(SummaryOracleFuzzTest, MatchesPerPageOracleOpForOp) {
           ASSERT_EQ(zones[z]->IsolateFreeRange(hi, end - hi),
                     ozones[z]->IsolateFreeRange(hi, end - hi));
           model[bi] = Model::kIsolating;
+        }
+        break;
+      }
+      case 18: {  // Run granules, then one write or read over one of them.
+        // The run takes every chunk below THP order first, then reaches one
+        // or two granules deep into an order >= 9 chunk of either zone.
+        // Free pages in chunks of orders [lo, hi).
+        auto free_in_orders = [&](size_t z, uint8_t lo, uint8_t hi) {
+          uint64_t pages = 0;
+          for (uint8_t order = lo; order < hi; ++order) {
+            pages += zones[z]->free_chunks(order) << order;
+          }
+          return pages;
+        };
+        size_t z = static_cast<size_t>(rng.UniformInt(0, 1));
+        if (free_in_orders(z, kThpOrder, kMaxPageOrder + 1) == 0) {
+          z = 1 - z;
+        }
+        if (free_in_orders(z, kThpOrder, kMaxPageOrder + 1) == 0) {
+          break;
+        }
+        const uint64_t n = free_in_orders(z, 0, kThpOrder) +
+                           kGranulePages * static_cast<uint64_t>(rng.UniformInt(1, 2)) +
+                           static_cast<uint64_t>(rng.UniformInt(0, 300));
+        const uint32_t first_slot = static_cast<uint32_t>(rng.UniformInt(0, 0xffffffff));
+        std::vector<PfnRun> runs;
+        const uint64_t allocated =
+            zones[z]->AllocPages(n, PageKind::kFile, 10, first_slot, &runs);
+        std::vector<Pfn> run_granules;
+        uint64_t i = 0;
+        for (const PfnRun& run : runs) {
+          for (uint32_t k = 0; k < run.count; ++k, ++i) {
+            const Pfn want = ozones[z]->Alloc(0, PageKind::kFile, 10,
+                                              first_slot + static_cast<uint32_t>(i));
+            ASSERT_EQ(run.first + k, want) << "page " << i << " step " << step;
+            live.push_back({want, 0, z});
+            if (want % kGranulePages == 0 && run.count - k >= kGranulePages) {
+              run_granules.push_back(want);
+            }
+          }
+        }
+        ASSERT_EQ(i, allocated) << "step " << step;
+        ASSERT_FALSE(run_granules.empty()) << "step " << step;
+        // Every frame matches the oracle, and a run granule keeps no frames
+        // unless `written` (the one granule a write has touched).
+        auto check = [&](Pfn written) {
+          for (BlockIndex b = 0; b < kBlocks; ++b) {
+            ExpectSameBlock(m, o, b, step);
+            if (HasFatalFailure()) {
+              return;
+            }
+          }
+          for (const Pfn g : run_granules) {
+            ASSERT_EQ(m.Materialized(g), g == written)
+                << "run granule " << g << " step " << step;
+          }
+        };
+        check(kInvalidPfn);
+        if (HasFatalFailure()) {
+          return;
+        }
+        const Pfn g = run_granules[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(run_granules.size()) - 1))];
+        const BlockIndex bi = MemMap::BlockOf(g);
+        const Pfn start = MemMap::BlockStart(bi);
+        ASSERT_EQ(model[bi], Model::kOnline) << "step " << step;
+        switch (rng.UniformInt(0, 3)) {
+          case 0: {  // Free one frame in the middle.
+            const Pfn pfn = g + static_cast<Pfn>(rng.UniformInt(1, kGranulePages - 2));
+            zones[z]->Free(pfn);
+            ozones[z]->Free(pfn);
+            for (size_t k = 0; k < live.size(); ++k) {
+              if (live[k].head == pfn) {
+                drop_folio(k);
+                break;
+              }
+            }
+            check(g);
+            break;
+          }
+          case 1: {  // Migrate the block's folios to the zone with more room.
+            struct Registry : OwnerRegistry {
+              std::map<std::pair<int32_t, uint32_t>, size_t> where;
+              std::vector<Folio>* live = nullptr;
+              size_t zone = 0;
+              void RelocateFolio(PageKind, int32_t owner, uint32_t owner_slot,
+                                 Pfn new_head) override {
+                Folio& f = (*live)[where.at({owner, owner_slot})];
+                f.head = new_head;
+                f.zone = zone;
+              }
+            } owners;
+            owners.live = &live;
+            for (size_t k = 0; k < live.size(); ++k) {
+              if (MemMap::BlockOf(live[k].head) == bi) {
+                const oracle::FlatPage& p = o.page(live[k].head);
+                ASSERT_TRUE(owners.where.insert({{p.owner, p.owner_slot}, k}).second)
+                    << "owner words shared at step " << step;
+              }
+            }
+            ASSERT_EQ(zones[z]->IsolateFreeRange(start, kPagesPerBlock),
+                      ozones[z]->IsolateFreeRange(start, kPagesPerBlock));
+            model[bi] = Model::kIsolating;
+            check(kInvalidPfn);
+            if (HasFatalFailure()) {
+              return;
+            }
+            const size_t t =
+                zones[1 - z]->free_pages() > zones[z]->free_pages() ? 1 - z : z;
+            owners.zone = t;
+            const MigrateOutcome got =
+                MigrateOutOfRange(m, *zones[z], *zones[t], start, kPagesPerBlock,
+                                  CostModel::Default(), &owners);
+            const MigrateOutcome want =
+                OracleMigrate(o, *ozones[z], *ozones[t], start, kPagesPerBlock);
+            ASSERT_EQ(got.ok, want.ok) << "step " << step;
+            ASSERT_EQ(got.folios_moved, want.folios_moved) << "step " << step;
+            ASSERT_EQ(got.pages_newly_backed, want.pages_newly_backed) << "step " << step;
+            for (const Folio& f : live) {
+              ASSERT_EQ(o.page(f.head).state, PageState::kAllocated) << "step " << step;
+              ASSERT_TRUE(o.page(f.head).head) << "step " << step;
+            }
+            for (BlockIndex b = 0; b < kBlocks; ++b) {
+              ExpectSameBlock(m, o, b, step);
+              if (HasFatalFailure()) {
+                return;
+              }
+            }
+            // A run granule outside the block was not written.
+            for (const Pfn r : run_granules) {
+              if (MemMap::BlockOf(r) != bi) {
+                ASSERT_FALSE(m.Materialized(r))
+                    << "run granule " << r << " step " << step;
+              }
+            }
+            break;
+          }
+          case 2: {  // Isolate across the granule, then undo.
+            const Pfn end = start + kPagesPerBlock;
+            const Pfn lo = FreeChunkBoundary(
+                o, std::max<Pfn>(start, g - static_cast<Pfn>(rng.UniformInt(0, 700))));
+            Pfn hi = std::min<Pfn>(
+                end, g + kGranulePages + static_cast<Pfn>(rng.UniformInt(0, 700)));
+            if (hi < end) {
+              hi = FreeChunkBoundary(o, hi);
+            }
+            ASSERT_EQ(zones[z]->IsolateFreeRange(lo, hi - lo),
+                      ozones[z]->IsolateFreeRange(lo, hi - lo))
+                << "step " << step;
+            check(kInvalidPfn);
+            if (HasFatalFailure()) {
+              return;
+            }
+            zones[z]->UndoIsolation(lo, hi - lo);
+            ozones[z]->UndoIsolation(lo, hi - lo);
+            check(kInvalidPfn);
+            break;
+          }
+          case 3: {  // Reads: folio heads and the block's page counts.
+            for (int k = 0; k < 8; ++k) {
+              const Pfn pfn = g + static_cast<Pfn>(rng.UniformInt(0, kGranulePages - 1));
+              ASSERT_EQ(m.FolioHead(pfn), pfn) << "step " << step;
+            }
+            for (const PageState st : {PageState::kFree, PageState::kAllocated,
+                                       PageState::kIsolated, PageState::kOffline}) {
+              uint64_t want = 0;
+              for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
+                want += o.page(pfn).state == st ? 1 : 0;
+              }
+              ASSERT_EQ(m.CountBlockPages(bi, st), want) << "step " << step;
+            }
+            check(kInvalidPfn);
+            break;
+          }
+        }
+        if (HasFatalFailure()) {
+          return;
         }
         break;
       }

@@ -1015,12 +1015,15 @@ inline void StepUntil(Cluster& cluster, TimeNs t, const EventHook& hook) {
 
 // One full churn run: build the fleet, run the trace with random
 // drain/undrain/pressure churn, quiesce, digest.  Every input is a pure
-// function of (registries, seed, policy).  With a `hook` the run is
-// stepped event by event and the hook observes the fleet after every
-// event and churn op; it must not change the digest.
+// function of (registries, seed, policy, base rate).  With a `hook` the
+// run is stepped event by event and the hook observes the fleet after
+// every event and churn op; it must not change the digest.  The replica
+// transfers MigratePressured starts are added to `pressure_migrations`.
 inline std::string RunChurn(bool registries, uint64_t seed,
                             PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack,
-                            const EventHook& hook = nullptr) {
+                            const EventHook& hook = nullptr,
+                            double base_rate_per_sec = 2.0,
+                            size_t* pressure_migrations = nullptr) {
   constexpr int kFunctions = 4;
   constexpr uint32_t kConcurrency = 8;
   ClusterConfig cfg;
@@ -1055,7 +1058,7 @@ inline std::string RunChurn(bool registries, uint64_t seed,
   ClusterTraceConfig trace;
   trace.duration = Minutes(4);
   trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
+  trace.total_base_rate_per_sec = base_rate_per_sec;
   trace.zipf_s = 1.2;
   trace.bursty_fraction = 0.5;
   trace.burst_multiplier = 30.0;
@@ -1081,9 +1084,13 @@ inline std::string RunChurn(bool registries, uint64_t seed,
       case 1:
         cluster.UndrainHost(h);
         break;
-      case 2:
-        cluster.MigratePressured();
+      case 2: {
+        const size_t started = cluster.MigratePressured();
+        if (pressure_migrations != nullptr) {
+          *pressure_migrations += started;
+        }
         break;
+      }
       case 3:
         break;  // Let the trace run.
     }
@@ -1136,6 +1143,26 @@ TEST(ChurnFuzzTest, ChurnDigestIsLocked) {
     EXPECT_EQ(got, g.digest_hash) << "registries " << (g.registries ? "on" : "off")
                                   << ", seed " << g.seed;
   }
+}
+
+TEST(ChurnFuzzTest, PressureMigrationDigestIsLocked) {
+  // In the six scenarios above MigratePressured never transfers a
+  // replica: a host keeps pending scale-ups only while it is full and the
+  // drains have left it (nearly) the last undrained host, so the pass
+  // finds no host at all, or a victim with every warm instance busy, or
+  // no undrained destination with room.  At twice the base rate a
+  // registry-free seed-1 run gets a pressured host with idle replicas
+  // and a destination that adopts them.  Recorded like the table above.
+  size_t pressure_migrations = 0;
+  const uint64_t got =
+      Fnv1a(churn_fuzz::RunChurn(false, 1, PlacementPolicy::kMemoryAwareBinPack, nullptr,
+                                 4.0, &pressure_migrations));
+  if (std::getenv("PARITY_DUMP") != nullptr) {
+    std::cout << "pressure 0x" << std::hex << got << std::dec << "ULL, "
+              << pressure_migrations << " transfers\n";
+  }
+  EXPECT_GT(pressure_migrations, 0u);
+  EXPECT_EQ(got, 0x9a8fd0c05a0c2fc3ULL);
 }
 
 // --- Per-event placement oracle: every HostIndex query vs the scan ------------
